@@ -1,10 +1,9 @@
 //! Criterion benches for meta-blocking: per weighting scheme, per pruning
 //! strategy, the broadcast-join parallel implementation vs the sequential
-//! driver (the ablations behind experiments E7/E8), skew-aware scheduling
-//! (cost-balanced morsels vs equal-count partitions on Zipf-skewed and
-//! uniform graphs, with per-worker busy times recorded so the balance is
-//! visible, not asserted), and the allocation-free node pass vs the
-//! sort+clone baseline.
+//! driver (the ablations behind experiments E7/E8), and pool worker
+//! scaling on Zipf-skewed and uniform graphs, with per-worker busy times
+//! recorded so the balance of the degree-cut morsels is visible, not
+//! asserted.
 //!
 //! Run with `BENCH_JSON=BENCH_metablocking.json cargo bench -p
 //! sparker-bench --bench metablocking` to dump every measurement as JSON.
@@ -20,8 +19,8 @@ use sparker_bench::{abt_buy_like, skewed_dirty, uniform_dirty};
 use sparker_blocking::{block_filtering, purge_oversized, token_blocking};
 use sparker_dataflow::Context;
 use sparker_metablocking::{
-    meta_blocking_graph, node_stats_pass_baseline_checksum, node_stats_pass_checksum, parallel,
-    BlockGraph, EdgeScorer, MetaBlockingConfig, PruningStrategy, Scheduling, WeightScheme,
+    meta_blocking_graph, parallel, BlockGraph, EdgeScorer, MetaBlockingConfig, PruningStrategy,
+    WeightScheme,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -33,14 +32,14 @@ fn graph() -> Arc<BlockGraph> {
     Arc::new(BlockGraph::new(&blocks, None))
 }
 
-/// Graph for the scheduling benches: the standard purge + block-filtering
+/// Graph for the worker-scaling benches: the standard purge + block-filtering
 /// pipeline over [`skewed_dirty`] / [`uniform_dirty`]. Purging kills the
 /// monster blocks (universal stop tokens and the top-rank hot blocks);
 /// filtering keeps each profile's smallest blocks, which drains the tail's
 /// background degree while hub profiles keep their dozens of mid-size hot
 /// blocks. The surviving graph concentrates ~3/4 of the edge work in the
 /// contiguous low-id hub — exactly the shape equal-count contiguous
-/// partitioning handles worst.
+/// partitioning would handle worst.
 fn scaling_graph(skewed: bool) -> Arc<BlockGraph> {
     let ds = if skewed {
         skewed_dirty(3000)
@@ -121,14 +120,13 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-const SCHEDULINGS: [Scheduling; 2] = [Scheduling::EqualCount, Scheduling::CostMorsel];
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Skew-aware scheduling ablation: equal-count partitions vs cost-balanced
-/// morsels at 1/2/4/8 workers, on a Zipf-skewed and a uniform graph. Wall
-/// times go through the normal sample loop; a separate instrumented run
-/// per configuration exports the critical path and the per-worker busy
-/// spread from the engine's own stage metrics.
+/// Pool worker scaling of [`parallel::meta_blocking`] at 1/2/4/8 workers,
+/// on a Zipf-skewed and a uniform graph. Wall times go through the normal
+/// sample loop; a separate instrumented run per worker count exports the
+/// critical path and the per-worker busy spread from the engine's own
+/// stage metrics.
 fn bench_worker_scaling(c: &mut Criterion) {
     let config = MetaBlockingConfig::default();
     for (kind, g) in [
@@ -137,69 +135,29 @@ fn bench_worker_scaling(c: &mut Criterion) {
     ] {
         let mut group = c.benchmark_group(format!("metablocking/worker-scaling/{kind}"));
         group.sample_size(8);
-        for sched in SCHEDULINGS {
-            for workers in WORKER_COUNTS {
-                let ctx = Context::new(workers);
-                group.bench_function(BenchmarkId::new(sched.name(), workers), |b| {
-                    b.iter(|| {
-                        parallel::meta_blocking_scheduled(&ctx, black_box(&g), &config, sched)
-                    })
-                });
-            }
+        for workers in WORKER_COUNTS {
+            let ctx = Context::new(workers);
+            group.bench_function(BenchmarkId::new("pool", workers), |b| {
+                b.iter(|| parallel::meta_blocking(&ctx, black_box(&g), &config))
+            });
         }
         group.finish();
-        for sched in SCHEDULINGS {
-            for workers in WORKER_COUNTS {
-                let ctx = Context::new(workers);
-                ctx.reset_metrics();
-                let _ = parallel::meta_blocking_scheduled(&ctx, &g, &config, sched);
-                let snap = ctx.metrics();
-                let prefix = format!(
-                    "metablocking/worker-scaling/{kind}/{}/{workers}",
-                    sched.name()
-                );
-                c.record(
-                    format!("{prefix}/critical-path"),
-                    1,
-                    snap.total_critical_path(),
-                );
-                for (slot, busy) in snap.stage_worker_busy().iter().enumerate() {
-                    c.record(format!("{prefix}/busy-worker-{slot}"), 1, *busy);
-                }
+        for workers in WORKER_COUNTS {
+            let ctx = Context::new(workers);
+            ctx.reset_metrics();
+            let _ = parallel::meta_blocking(&ctx, &g, &config);
+            let snap = ctx.metrics();
+            let prefix = format!("metablocking/worker-scaling/{kind}/pool/{workers}");
+            c.record(
+                format!("{prefix}/critical-path"),
+                1,
+                snap.total_critical_path(),
+            );
+            for (slot, busy) in snap.stage_worker_busy().iter().enumerate() {
+                c.record(format!("{prefix}/busy-worker-{slot}"), 1, *busy);
             }
         }
     }
-}
-
-/// The per-node hot loop in isolation: the allocation-free pass (reused
-/// scratch + weights buffers, O(n) k-th selection, fused mean/max) against
-/// the pre-optimization baseline (owned neighborhood, fresh weights `Vec`
-/// per node, full `clone` + descending sort). Checksums are asserted equal
-/// so both sides do identical work.
-fn bench_node_pass(c: &mut Criterion) {
-    let g = graph();
-    let config = MetaBlockingConfig {
-        scorer: EdgeScorer::Classic(WeightScheme::Cbs),
-        pruning: PruningStrategy::Cnp {
-            k: None,
-            reciprocal: false,
-        },
-        use_entropy: false,
-    };
-    assert_eq!(
-        node_stats_pass_checksum(&g, &config).to_bits(),
-        node_stats_pass_baseline_checksum(&g, &config).to_bits(),
-        "node-pass variants must agree before timing them"
-    );
-    let mut group = c.benchmark_group("metablocking/node-pass");
-    group.sample_size(20);
-    group.bench_function("alloc-free", |b| {
-        b.iter(|| node_stats_pass_checksum(black_box(&g), &config))
-    });
-    group.bench_function("sort-clone-baseline", |b| {
-        b.iter(|| node_stats_pass_baseline_checksum(black_box(&g), &config))
-    });
-    group.finish();
 }
 
 criterion_group!(
@@ -207,7 +165,6 @@ criterion_group!(
     bench_weight_schemes,
     bench_pruning_strategies,
     bench_parallel_vs_sequential,
-    bench_worker_scaling,
-    bench_node_pass
+    bench_worker_scaling
 );
 criterion_main!(benches);

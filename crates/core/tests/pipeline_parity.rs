@@ -308,8 +308,12 @@ fn engine_backends_record_matcher_and_clusterer_stages() {
         "fused stage missing from {names:?}"
     );
     assert!(
-        names.iter().any(|n| n == "fused_pass_a"),
+        names.iter().any(|n| n == "metablocking_pass_a"),
         "fused pass-A stage missing from {names:?}"
+    );
+    assert!(
+        !names.iter().any(|n| n == "metablocking_pass_b"),
+        "fused run built the staged pass B: {names:?}"
     );
     assert!(
         !names.iter().any(|n| n == "match_candidates"),

@@ -36,14 +36,6 @@ pub struct NeighborhoodScratch {
     out: Vec<(ProfileId, EdgeAccumulator)>,
 }
 
-impl NeighborhoodScratch {
-    /// Size of the most recent [`BlockGraph::neighborhood_buffered`] output
-    /// — the materialized node's degree — without re-walking its blocks.
-    pub(crate) fn last_neighborhood_len(&self) -> usize {
-        self.out.len()
-    }
-}
-
 /// A compact, immutable view of the block collection, indexed both ways,
 /// from which node neighborhoods are materialized.
 ///
@@ -422,8 +414,8 @@ impl BlockGraph {
     }
 
     /// Node degrees (distinct comparable neighbors per profile) and the
-    /// total number of distinct edges — the global statistics EJS needs and
-    /// the cost hints skew-aware partitioning feeds on.
+    /// total number of distinct edges — the global statistics the EJS and
+    /// supervised scorers read.
     ///
     /// Counting-only: neighbors are deduplicated with an epoch-marked seen
     /// array instead of materializing accumulator-laden, sorted

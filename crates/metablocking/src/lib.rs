@@ -22,14 +22,17 @@
 //!   [`LinearModel`] over the full [`EdgeFeatures`] vector, trained
 //!   in-repo against synthetic ground truth via [`train_supervised`]
 //!   (generalized supervised meta-blocking).
+//! * **One node-pass kernel** ([`StreamingMetaBlocking`]): every backend
+//!   prunes through the same two-pass node kernel — the sequential driver
+//!   ([`meta_blocking_graph`]) runs it over one range on the calling
+//!   thread, the fused pipeline streams it range by range.
 //! * **Parallel execution** ([`parallel::meta_blocking`]): the paper's
 //!   broadcast-join formulation — "it partitions the nodes of the blocking
 //!   graph and sends in broadcast all the information needed to materialize
-//!   the neighborhood of each node one at a time". By default the node
-//!   work is scheduled skew-aware ([`Scheduling::CostMorsel`]):
-//!   degree-cost-balanced partitions executed as dynamically claimed
-//!   morsels with per-worker scratch reuse, byte-identical to the
-//!   equal-count baseline.
+//!   the neighborhood of each node one at a time". The kernel's passes run
+//!   as dynamically claimed morsels with per-worker scratch reuse, pass B
+//!   cut by node degree so hub-heavy graphs stay balanced; results are
+//!   byte-identical to the sequential driver.
 //!
 //! ```
 //! use sparker_blocking::token_blocking;
@@ -59,7 +62,6 @@ mod weights;
 
 pub use entropy::{block_entropies, BlockEntropies};
 pub use graph::{BlockGraph, EdgeAccumulator, NeighborhoodScratch};
-pub use parallel::Scheduling;
 pub use progressive::{progressive_global, progressive_node_first};
 pub use pruning::{
     derived_cnp_k, meta_blocking, meta_blocking_graph, MetaBlockingConfig, NodeStats,
@@ -71,6 +73,3 @@ pub use scorer::{
 pub use streaming::StreamingMetaBlocking;
 pub use train::{train_supervised, TrainOptions, TrainReport};
 pub use weights::WeightScheme;
-
-#[doc(hidden)]
-pub use pruning::{node_stats_pass_baseline_checksum, node_stats_pass_checksum};

@@ -1,10 +1,12 @@
-//! Pruning strategies and the sequential meta-blocking driver.
+//! Pruning strategies, retention rules and the sequential meta-blocking
+//! driver.
 
 use crate::entropy::BlockEntropies;
-use crate::graph::{BlockGraph, NeighborhoodScratch};
+use crate::graph::BlockGraph;
 use crate::scorer::{EdgeScorer, ScoringContext};
+use crate::streaming::StreamingMetaBlocking;
 use sparker_blocking::BlockCollection;
-use sparker_profiles::{Pair, ProfileId};
+use sparker_profiles::Pair;
 
 /// How low-weight edges are removed from the blocking graph.
 ///
@@ -113,9 +115,10 @@ impl MetaBlockingConfig {
 
 /// Per-node retention statistics gathered in the first pass.
 ///
-/// Public because the online resolver (`sparker-serve`) maintains these
-/// incrementally per dirty node and replays [`RetentionRule::keeps`] over
-/// the touched neighborhoods only.
+/// Public because the online resolver (`sparker-serve`) summarizes its
+/// incrementally maintained adjacency rows with the same
+/// [`NodeStats::from_weights`] and replays [`RetentionRule::keeps`] over
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
     /// Mean edge weight of the node's neighborhood (WNP).
@@ -127,162 +130,35 @@ pub struct NodeStats {
     pub kth: f64,
 }
 
-/// Per-node half of the first pass: materialize one node's neighborhood,
-/// weight its edges, and summarize. This is the unit of work SparkER
-/// distributes, so it is the hot loop of meta-blocking — after warm-up it
-/// performs **zero heap allocation per node**: the neighborhood lives in
-/// `scratch`, the edge weights in the caller's reusable `weights` buffer,
-/// and (when `collect_weights`) the node's `node < j` edge weights are
-/// appended to `all_weights` so each edge is counted once globally. The
-/// CNP k-th weight uses an O(n) order-statistic selection instead of a
-/// full sort, and mean/max are folded in the same pass that computes the
-/// weights.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn node_pass_single(
-    graph: &BlockGraph,
-    node: ProfileId,
-    scoring: &ScoringContext,
-    cnp_k: usize,
-    collect_weights: bool,
-    all_weights: &mut Vec<f64>,
-    scratch: &mut NeighborhoodScratch,
-    weights: &mut Vec<f64>,
-) -> NodeStats {
-    let neighborhood = graph.neighborhood_buffered(node, scratch);
-    if neighborhood.is_empty() {
-        return NodeStats {
-            kth: f64::INFINITY,
-            ..NodeStats::default()
-        };
-    }
-    weights.clear();
-    let blocks_node = graph.blocks_of(node).len();
-    let mut sum = 0.0f64;
-    let mut max = 0.0f64;
-    for &(j, ref acc) in neighborhood {
-        let w = scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len());
-        weights.push(w);
-        sum += w;
-        max = max.max(w);
-        if collect_weights && node < j {
-            all_weights.push(w);
-        }
-    }
-    let mean = sum / weights.len() as f64;
-    // k-th largest = element at rank k-1 of the descending order; selection
-    // yields exactly the value a full descending sort would put there.
-    let k = (cnp_k.min(weights.len())).saturating_sub(1);
-    let (_, kth, _) =
-        weights.select_nth_unstable_by(k, |a, b| b.partial_cmp(a).expect("weights are finite"));
-    NodeStats {
-        mean,
-        max,
-        kth: *kth,
-    }
-}
-
-/// First pass: per-node statistics (and the global weight list when CEP
-/// needs it). `collect_weights` gathers each edge's weight once (i < j).
-pub(crate) fn node_stats_pass(
-    graph: &BlockGraph,
-    scoring: &ScoringContext,
-    cnp_k: usize,
-    collect_weights: bool,
-) -> (Vec<NodeStats>, Vec<f64>) {
-    let n = graph.num_profiles();
-    let mut node_stats = vec![NodeStats::default(); n];
-    let mut all_weights = Vec::new();
-    let mut scratch = graph.scratch();
-    let mut weights = Vec::new();
-    for (i, slot) in node_stats.iter_mut().enumerate() {
-        *slot = node_pass_single(
-            graph,
-            ProfileId(i as u32),
-            scoring,
-            cnp_k,
-            collect_weights,
-            &mut all_weights,
-            &mut scratch,
-            &mut weights,
-        );
-    }
-    (node_stats, all_weights)
-}
-
-/// Fold pass-A output into one scalar so benchmarks can consume (and
-/// cross-check) both pass variants without materializing results.
-fn pass_checksum(node_stats: &[NodeStats], all_weights: &[f64]) -> f64 {
-    let s: f64 = node_stats
-        .iter()
-        .map(|s| s.mean + s.max + if s.kth.is_finite() { s.kth } else { 0.0 })
-        .sum();
-    s + all_weights.iter().sum::<f64>()
-}
-
-/// Unstable hook for the in-repo node-pass micro-benchmark: run the full
-/// first (statistics) pass with the allocation-free per-node loop and
-/// return a checksum over its output. Not part of the public API.
-#[doc(hidden)]
-pub fn node_stats_pass_checksum(graph: &BlockGraph, config: &MetaBlockingConfig) -> f64 {
-    let scoring = config.scoring_context(graph);
-    let cnp_k = cnp_budget(config.pruning, graph);
-    let (ns, aw) = node_stats_pass(graph, &scoring, cnp_k, true);
-    pass_checksum(&ns, &aw)
-}
-
-/// Unstable hook for the in-repo node-pass micro-benchmark: the pre-morsel
-/// per-node loop — a fresh weights `Vec` per node, an owned neighborhood
-/// `Vec`, and a full `clone` + descending `sort` for the CNP k-th weight.
-/// Produces the same checksum as [`node_stats_pass_checksum`] (asserted in
-/// tests) so the benchmark compares equal work. Not part of the public API.
-#[doc(hidden)]
-pub fn node_stats_pass_baseline_checksum(graph: &BlockGraph, config: &MetaBlockingConfig) -> f64 {
-    let scoring = config.scoring_context(graph);
-    let cnp_k = cnp_budget(config.pruning, graph);
-    let n = graph.num_profiles();
-    let mut scratch = graph.scratch();
-    let mut node_stats = Vec::with_capacity(n);
-    let mut all_weights = Vec::new();
-    for i in 0..n {
-        let node = ProfileId(i as u32);
-        let neighborhood = graph.neighborhood_with(node, &mut scratch);
-        if neighborhood.is_empty() {
-            node_stats.push(NodeStats {
+impl NodeStats {
+    /// Summarize one node's edge weights: their mean, their maximum and
+    /// the `cnp_k`-th largest (CNP). The k-th weight comes from an O(n)
+    /// order-statistic selection, which reorders `weights`; it is exactly
+    /// the value a full descending sort would put at rank `k - 1`. An
+    /// empty slice gives zero mean and maximum and `kth = ∞`.
+    pub fn from_weights(weights: &mut [f64], cnp_k: usize) -> NodeStats {
+        if weights.is_empty() {
+            return NodeStats {
                 kth: f64::INFINITY,
                 ..NodeStats::default()
-            });
-            continue;
+            };
         }
-        let mut weights: Vec<f64> = Vec::with_capacity(neighborhood.len());
-        for (j, acc) in &neighborhood {
-            let w = scoring.weigh(
-                node,
-                *j,
-                acc,
-                graph.blocks_of(node).len(),
-                graph.blocks_of(*j).len(),
-            );
-            weights.push(w);
-            if node < *j {
-                all_weights.push(w);
-            }
-        }
-        let sum: f64 = weights.iter().sum();
-        let max = weights.iter().fold(0.0f64, |a, &b| a.max(b));
-        let mut sorted = weights.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
-        let kth = sorted[(cnp_k.min(sorted.len())).saturating_sub(1)];
-        node_stats.push(NodeStats {
-            mean: sum / weights.len() as f64,
+        let sum = weights.iter().fold(0.0f64, |sum, &w| sum + w);
+        let max = weights.iter().fold(0.0f64, |max, &w| max.max(w));
+        let mean = sum / weights.len() as f64;
+        let k = (cnp_k.min(weights.len())).saturating_sub(1);
+        let (_, kth, _) =
+            weights.select_nth_unstable_by(k, |a, b| b.partial_cmp(a).expect("weights are finite"));
+        NodeStats {
+            mean,
             max,
-            kth,
-        });
+            kth: *kth,
+        }
     }
-    pass_checksum(&node_stats, &all_weights)
 }
 
-/// Resolved retention rule, shared by the sequential and parallel drivers
-/// (and replayed edge-by-edge by the incremental resolver, which is why it
+/// Resolved retention rule, applied by the node-pass kernel's pass B (and
+/// replayed edge-by-edge by the incremental resolver, which is why it
 /// is public: the decision for one edge depends only on its weight and the
 /// two endpoints' [`NodeStats`]).
 #[derive(Debug, Clone)]
@@ -396,34 +272,10 @@ pub(crate) fn cnp_budget(pruning: PruningStrategy, graph: &BlockGraph) -> usize 
 
 /// Sequential meta-blocking over a prebuilt [`BlockGraph`]: weight every
 /// implicit edge, derive thresholds, and return the retained candidate
-/// pairs with their weights, sorted by pair.
+/// pairs with their weights, sorted by pair. Runs the node-pass kernel
+/// ([`StreamingMetaBlocking`]) over the whole graph on the calling thread.
 pub fn meta_blocking_graph(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
-    let scoring = config.scoring_context(graph);
-    let cnp_k = cnp_budget(config.pruning, graph);
-    let needs_global = matches!(
-        config.pruning,
-        PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
-    );
-    let (node_stats, mut all_weights) = node_stats_pass(graph, &scoring, cnp_k, needs_global);
-    let rule = resolve_rule(config.pruning, graph, &mut all_weights);
-
-    let mut retained = Vec::new();
-    let mut scratch = graph.scratch();
-    for i in 0..graph.num_profiles() {
-        let node = ProfileId(i as u32);
-        let blocks_node = graph.blocks_of(node).len();
-        for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
-            if node >= j {
-                continue; // count each edge once
-            }
-            let w = scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len());
-            if rule.keeps(w, &node_stats[i], &node_stats[j.index()]) {
-                retained.push((Pair::new(node, j), w));
-            }
-        }
-    }
-    retained.sort_by_key(|(a, _)| *a);
-    retained
+    StreamingMetaBlocking::sequential(graph, config).prune_all()
 }
 
 /// Convenience driver: build the graph from a block collection (without
@@ -439,7 +291,7 @@ mod tests {
     use super::*;
     use crate::weights::WeightScheme;
     use sparker_blocking::{token_blocking, Block};
-    use sparker_profiles::{ErKind, Profile, ProfileCollection, SourceId};
+    use sparker_profiles::{ErKind, Profile, ProfileCollection, ProfileId, SourceId};
 
     fn pid(i: u32) -> ProfileId {
         ProfileId(i)
@@ -746,45 +598,6 @@ mod tests {
                         pruning.name(),
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn allocation_free_pass_matches_sort_clone_baseline() {
-        // The micro-benchmark hooks must agree bit-for-bit: the O(n)
-        // selection and single-pass folds change no output.
-        let profiles: Vec<Profile> = (0..50)
-            .map(|i| {
-                Profile::builder(SourceId(0), i.to_string())
-                    .attr("name", format!("a{} b{} c{}", i % 6, i % 4, (i + 1) % 6))
-                    .build()
-            })
-            .collect();
-        let coll = ProfileCollection::dirty(profiles);
-        let graph = BlockGraph::new(&token_blocking(&coll), None);
-        for scheme in WeightScheme::ALL {
-            for pruning in [
-                PruningStrategy::Cnp {
-                    k: None,
-                    reciprocal: false,
-                },
-                PruningStrategy::Wep { factor: 1.0 },
-            ] {
-                let config = MetaBlockingConfig {
-                    scorer: EdgeScorer::Classic(scheme),
-                    pruning,
-                    use_entropy: false,
-                };
-                let fast = node_stats_pass_checksum(&graph, &config);
-                let slow = node_stats_pass_baseline_checksum(&graph, &config);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "{}+{} checksum diverged",
-                    scheme.name(),
-                    pruning.name(),
-                );
             }
         }
     }

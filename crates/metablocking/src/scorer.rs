@@ -1,15 +1,16 @@
 //! The pluggable edge-scoring seam.
 //!
-//! Every execution path of meta-blocking — staged ([`crate::meta_blocking_graph`]),
-//! broadcast-join parallel ([`crate::parallel::meta_blocking`]), fused
-//! streaming ([`crate::StreamingMetaBlocking`]), progressive
-//! ([`crate::progressive_global`] / [`crate::progressive_node_first`]) and
-//! the online resolver's batch refresh — weighs a candidate edge the same
-//! way: it materializes the edge's [`EdgeAccumulator`] and asks a
-//! [`ScoringContext`] for the weight. The context owns everything global
-//! (block count, node degrees when the scorer reads them, the entropy
-//! precondition) so the per-path drivers carry no weighting logic of their
-//! own.
+//! Every execution path of meta-blocking — the node-pass kernel
+//! ([`crate::StreamingMetaBlocking`]) that the sequential
+//! ([`crate::meta_blocking_graph`]), broadcast-join parallel
+//! ([`crate::parallel::meta_blocking`]) and fused drivers all run,
+//! progressive ([`crate::progressive_global`] /
+//! [`crate::progressive_node_first`]) and the online resolver's batch
+//! refresh — weighs a candidate edge the same way: it materializes the
+//! edge's [`EdgeAccumulator`] and asks a [`ScoringContext`] for the
+//! weight. The context owns everything global (block count, node degrees
+//! when the scorer reads them, the entropy precondition) so the drivers
+//! carry no weighting logic of their own.
 //!
 //! Two scorer families plug into the seam:
 //!
@@ -328,9 +329,9 @@ impl ScoringContext {
     }
 
     /// Build a context from a degree vector the caller already computed
-    /// (e.g. the parallel degree pass that also feeds cost-hinted
-    /// partitioning). Degrees are kept only when the scorer reads them, so
-    /// the resulting context is identical to [`ScoringContext::new`].
+    /// (e.g. by the node-parallel [`crate::parallel::degrees_parallel`]).
+    /// Degrees are kept only when the scorer reads them, so the resulting
+    /// context is identical to [`ScoringContext::new`].
     ///
     /// # Panics
     /// As [`ScoringContext::new`].

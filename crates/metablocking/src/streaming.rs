@@ -1,49 +1,64 @@
-//! Streaming pair emission for fused prune→score execution.
+//! The meta-blocking node pass — the one kernel every backend prunes
+//! through.
 //!
-//! The staged drivers ([`crate::meta_blocking_graph`],
-//! [`crate::parallel::meta_blocking`]) run pruning to completion and hand
-//! the matcher one fully materialized pair list. The fused pipeline
-//! instead wants pruned pairs *as they are produced*, one contiguous node
-//! range at a time, so the matcher can score range `k` while range `k+1`
-//! is still pruning. [`StreamingMetaBlocking`] is that seam: `prepare`
-//! runs everything global (pass A statistics, rule resolution) on the
-//! worker pool, and [`StreamingMetaBlocking::prune_range`] then emits the
-//! retained pairs of any node range independently — a pure function of
-//! the range, safe to call concurrently from fused producer workers in
-//! any order.
+//! SparkER parallelizes meta-blocking as a node-centric pass: broadcast
+//! the compact block index, materialize one node's neighborhood at a time,
+//! prune locally. [`StreamingMetaBlocking`] is that pass, in two halves:
 //!
-//! ## Parity with the staged drivers
+//! * **pass A** (`pass_a_range`) weighs every edge of a node range and
+//!   summarizes it — per-node [`NodeStats`] for the node-centric rules, the
+//!   forward (`node < j`) weight pool for the global ones, node degrees for
+//!   morsel cuts — after which the retention rule is resolved once;
+//! * **pass B** ([`StreamingMetaBlocking::prune_range`]) re-materializes
+//!   each neighborhood of a node range and emits the retained forward
+//!   edges — a pure function of the range, safe to call concurrently in
+//!   any order.
 //!
-//! `prepare` reuses the exact staged building blocks — `node_pass_single`
-//! for the node-centric rules, the same forward-only weight collection
-//! (same order, same f64 summation sequence) for the global rules, the
-//! same `resolve_rule` — so concatenating `prune_range` over a disjoint
-//! ascending cover of `0..num_profiles` is byte-identical to the staged
-//! output (pinned by tests here and in the core parity matrix). Each
-//! range's emissions are already sorted by pair: nodes ascend, and
-//! [`BlockGraph::neighborhood_buffered`] returns neighbors in ascending
-//! id order, so the forward (`node < j`) emissions of consecutive nodes
-//! concatenate sorted — which is what lets the fused matcher feed its
-//! shards straight into `SimilarityGraph::from_sorted_shards` without a
-//! global re-sort.
+//! The backends differ only in how they drive the two halves:
+//!
+//! * sequential ([`crate::meta_blocking_graph`]):
+//!   [`StreamingMetaBlocking::sequential`] runs pass A over `0..n` on the
+//!   calling thread, then [`StreamingMetaBlocking::prune_all`];
+//! * pool and dataflow ([`crate::parallel::meta_blocking`]):
+//!   [`StreamingMetaBlocking::prepare`] runs pass A as morsels on the
+//!   worker pool, then [`StreamingMetaBlocking::prune_pool`];
+//! * fused: `prepare`, then `prune_range` per morsel, fed straight into the
+//!   matcher so range `k` is scored while range `k+1` is still pruning.
+//!
+//! ## Determinism
+//!
+//! Pass A is a pure function per node, and morsel outputs concatenate in
+//! node order, so the forward weight pool reaches rule resolution in the
+//! same order (hence the same f64 reduction) on every driver and at every
+//! worker count. Each range's pass-B emissions are already sorted by pair:
+//! nodes ascend, and [`BlockGraph::neighborhood_buffered`] returns
+//! neighbors in ascending id order, so the forward emissions of
+//! consecutive nodes concatenate sorted — any disjoint ascending cover of
+//! `0..num_profiles` yields the same sorted pair list, which is what lets
+//! the fused matcher feed its shards straight into
+//! `SimilarityGraph::from_sorted_shards` without a global re-sort. An
+//! independent naive oracle in the crate's proptests pins every driver.
 
 use crate::graph::{BlockGraph, NeighborhoodScratch};
-use crate::parallel::degrees_parallel;
+use crate::parallel::{degrees_parallel, morsel_grain};
 use crate::pruning::{
-    cnp_budget, node_pass_single, resolve_rule, MetaBlockingConfig, NodeStats, PruningStrategy,
-    RetentionRule,
+    cnp_budget, resolve_rule, MetaBlockingConfig, NodeStats, PruningStrategy, RetentionRule,
 };
 use crate::scorer::ScoringContext;
-use sparker_dataflow::{Broadcast, Context, WorkerLocal};
+use sparker_dataflow::{Context, WorkerLocal};
 use sparker_profiles::{Pair, ProfileId};
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// A prepared, immutable pruning plan: everything meta-blocking computes
 /// *before* the per-edge retention decisions, packaged so pruned pairs
 /// can be emitted range by range (see the module docs).
-pub struct StreamingMetaBlocking {
-    graph: Arc<BlockGraph>,
+///
+/// `G` is how the plan holds its block graph: a shared `Arc` when built by
+/// [`StreamingMetaBlocking::prepare`] (the default), a plain borrow when
+/// built by the sequential driver ([`crate::meta_blocking_graph`]).
+pub struct StreamingMetaBlocking<G = Arc<BlockGraph>> {
+    graph: G,
     scoring: ScoringContext,
     /// Per-node retention statistics; empty for the global-threshold rules
     /// (WEP/CEP), whose [`RetentionRule::keeps`] ignores them.
@@ -53,25 +68,89 @@ pub struct StreamingMetaBlocking {
     degrees: Vec<u32>,
 }
 
-impl StreamingMetaBlocking {
-    /// Run pass A (per-node statistics and/or the global weight pool) on
-    /// the context's worker pool and resolve the retention rule.
-    ///
-    /// The global rules (WEP/CEP) never read `NodeStats`, so their pass
-    /// A is specialized: it computes only the forward (`node < j`) edge
-    /// weights — in the same neighborhood order the staged pass collects
-    /// them, preserving f64 summation order — and skips the mean/max/k-th
-    /// folding entirely, roughly halving pass-A weight computes.
-    pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
-        let num_nodes = graph.num_profiles();
-        let cnp_k = cnp_budget(config.pruning, graph);
-        let needs_global = matches!(
-            config.pruning,
-            PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
-        );
+/// Pass-A output of one node range; outputs of consecutive ranges
+/// concatenate into the whole graph's.
+#[derive(Clone, Default)]
+struct PassA {
+    node_stats: Vec<NodeStats>,
+    /// Forward (`node < j`) edge weights, global rules only.
+    forward: Vec<f64>,
+    degrees: Vec<u32>,
+}
 
+impl PassA {
+    /// Concatenate range outputs given in node order.
+    fn concat(parts: impl IntoIterator<Item = PassA>) -> PassA {
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().unwrap_or_default();
+        for part in parts {
+            all.node_stats.extend(part.node_stats);
+            all.forward.extend(part.forward);
+            all.degrees.extend(part.degrees);
+        }
+        all
+    }
+}
+
+/// Do WEP/CEP's global thresholds apply (instead of per-node statistics)?
+fn uses_global_rule(pruning: PruningStrategy) -> bool {
+    matches!(
+        pruning,
+        PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
+    )
+}
+
+/// Pass A over the ascending node ids `nodes`: materialize each node's
+/// neighborhood, weigh its edges and summarize them. This is the unit of
+/// work SparkER distributes, so it is the hot loop of meta-blocking —
+/// after warm-up it performs **zero heap allocation per node**: the
+/// neighborhood lives in `scratch`, the edge weights in the caller's
+/// reusable `weights` buffer.
+///
+/// The global rules (WEP/CEP) never read [`NodeStats`], so for them
+/// (`global`) only the forward edges are weighed — each edge once — and
+/// collected into the weight pool; the node-centric rules weigh the whole
+/// neighborhood and keep its [`NodeStats`] summary.
+fn pass_a_range(
+    graph: &BlockGraph,
+    scoring: &ScoringContext,
+    cnp_k: usize,
+    global: bool,
+    nodes: impl IntoIterator<Item = u32>,
+    scratch: &mut NeighborhoodScratch,
+    weights: &mut Vec<f64>,
+) -> PassA {
+    let mut out = PassA::default();
+    for i in nodes {
+        let node = ProfileId(i);
+        let blocks_node = graph.blocks_of(node).len();
+        let neighborhood = graph.neighborhood_buffered(node, scratch);
+        out.degrees.push(neighborhood.len() as u32);
+        let sink = if global {
+            &mut out.forward
+        } else {
+            weights.clear();
+            &mut *weights
+        };
+        for &(j, ref acc) in neighborhood {
+            if !global || node < j {
+                sink.push(scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len()));
+            }
+        }
+        if !global {
+            out.node_stats.push(NodeStats::from_weights(weights, cnp_k));
+        }
+    }
+    out
+}
+
+impl StreamingMetaBlocking {
+    /// Run pass A as morsels on the context's worker pool — the graph is
+    /// broadcast, each claimed morsel is one `pass_a_range` call with the
+    /// worker slot's reusable buffers — and resolve the retention rule.
+    pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
         // Scorers that read node degrees (EJS, supervised) need them
-        // *before* pass A can weight anything; compute them node-parallel.
+        // *before* pass A can weigh anything; compute them node-parallel.
         // Every other scorer gets degrees for free out of pass A itself.
         let scoring = if config.scorer.needs_degrees() {
             let (degrees, num_edges) = degrees_parallel(ctx, graph);
@@ -85,89 +164,68 @@ impl StreamingMetaBlocking {
         } else {
             config.scoring_context(graph)
         };
-
-        if num_nodes == 0 {
-            let mut all_weights = Vec::new();
-            let rule = resolve_rule(config.pruning, graph, &mut all_weights);
-            return StreamingMetaBlocking {
-                graph: Arc::clone(graph),
-                scoring,
-                node_stats: Vec::new(),
-                rule,
-                degrees: Vec::new(),
-            };
-        }
-
-        let b_graph: Broadcast<BlockGraph> = ctx.broadcast(Arc::clone(graph));
-        let b_scoring = ctx.broadcast(scoring.clone());
-        let scratches = Arc::new(WorkerLocal::new(ctx.workers(), || {
-            (graph.scratch(), Vec::<f64>::new())
-        }));
-        let grain = (num_nodes / (ctx.workers() * 32)).max(1);
-        let ids: Vec<u32> = (0..num_nodes as u32).collect();
-
-        // (node stats, forward weights, degrees) per morsel, concatenated
-        // in node order — dynamic morsel claiming absorbs degree skew
-        // without a separate cost-hint pass.
-        type PassA = (Vec<NodeStats>, Vec<f64>, Vec<u32>);
-        let pass_a: Vec<PassA> = {
-            let scratches = Arc::clone(&scratches);
-            ctx.parallelize_default(ids)
-                .map_morsels_named("fused_pass_a", grain, move |worker, nodes| {
+        let cnp_k = cnp_budget(config.pruning, graph);
+        let global = uses_global_rule(config.pruning);
+        let num_nodes = graph.num_profiles();
+        let b_graph = ctx.broadcast(Arc::clone(graph));
+        let scratches = WorkerLocal::new(ctx.workers(), || (graph.scratch(), Vec::new()));
+        let pass_a = ctx
+            .parallelize_default((0..num_nodes as u32).collect())
+            .map_morsels_named(
+                "metablocking_pass_a",
+                morsel_grain(num_nodes, ctx),
+                |worker, nodes| {
                     scratches.with(worker, |(scratch, weights)| {
-                        let mut stats_out = Vec::new();
-                        let mut forward = Vec::new();
-                        let mut degs = Vec::with_capacity(nodes.len());
-                        for &i in nodes {
-                            let node = ProfileId(i);
-                            if needs_global {
-                                // Global rule: forward weights only.
-                                let blocks_node = b_graph.blocks_of(node).len();
-                                let neighborhood = b_graph.neighborhood_buffered(node, scratch);
-                                degs.push(neighborhood.len() as u32);
-                                for &(j, ref acc) in neighborhood {
-                                    if node < j {
-                                        forward.push(b_scoring.weigh(
-                                            node,
-                                            j,
-                                            acc,
-                                            blocks_node,
-                                            b_graph.blocks_of(j).len(),
-                                        ));
-                                    }
-                                }
-                            } else {
-                                stats_out.push(node_pass_single(
-                                    &b_graph,
-                                    node,
-                                    &b_scoring,
-                                    cnp_k,
-                                    false,
-                                    &mut forward,
-                                    scratch,
-                                    weights,
-                                ));
-                                degs.push(scratch.last_neighborhood_len() as u32);
-                            }
-                        }
-                        vec![(stats_out, forward, degs)]
+                        let ids = nodes.iter().copied();
+                        vec![pass_a_range(
+                            &b_graph, &scoring, cnp_k, global, ids, scratch, weights,
+                        )]
                     })
-                })
-                .collect()
-        };
+                },
+            )
+            .into_partitions()
+            .into_iter()
+            .flatten();
+        Self::resolve(Arc::clone(graph), scoring, config.pruning, pass_a)
+    }
+}
 
-        let mut node_stats = Vec::with_capacity(if needs_global { 0 } else { num_nodes });
-        let mut all_weights = Vec::new();
-        let mut degrees = Vec::with_capacity(num_nodes);
-        for (s, fw, d) in pass_a {
-            node_stats.extend(s);
-            all_weights.extend(fw);
-            degrees.extend(d);
-        }
-        let rule = resolve_rule(config.pruning, graph, &mut all_weights);
+impl<'g> StreamingMetaBlocking<&'g BlockGraph> {
+    /// Run pass A over every node on the calling thread — one
+    /// `pass_a_range` call over `0..num_profiles` — and resolve the
+    /// retention rule. The sequential backend's plan.
+    pub(crate) fn sequential(graph: &'g BlockGraph, config: &MetaBlockingConfig) -> Self {
+        let scoring = config.scoring_context(graph);
+        let pass_a = pass_a_range(
+            graph,
+            &scoring,
+            cnp_budget(config.pruning, graph),
+            uses_global_rule(config.pruning),
+            0..graph.num_profiles() as u32,
+            &mut graph.scratch(),
+            &mut Vec::new(),
+        );
+        Self::resolve(graph, scoring, config.pruning, [pass_a])
+    }
+}
 
+impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
+    /// Concatenate the pass-A outputs (given in node order) and resolve
+    /// the retention rule from them.
+    fn resolve(
+        graph: G,
+        scoring: ScoringContext,
+        pruning: PruningStrategy,
+        pass_a: impl IntoIterator<Item = PassA>,
+    ) -> Self {
+        let PassA {
+            node_stats,
+            mut forward,
+            degrees,
+        } = PassA::concat(pass_a);
+        let rule = resolve_rule(pruning, &graph, &mut forward);
         StreamingMetaBlocking {
-            graph: Arc::clone(graph),
+            graph,
             scoring,
             node_stats,
             rule,
@@ -193,7 +251,9 @@ impl StreamingMetaBlocking {
 
     /// Cut `0..num_nodes` into contiguous ranges of roughly equal *degree*
     /// cost (degree + 1 per node, so isolated nodes still advance), about
-    /// `target_tasks` of them. Boundaries are schedule-only: concatenating
+    /// `target_tasks` of them. Real blocking graphs are power-law skewed,
+    /// so equal-*count* ranges would strand a hub-heavy slice on one
+    /// worker. Boundaries are schedule-only: concatenating
     /// [`StreamingMetaBlocking::prune_range`] over any disjoint ascending
     /// cover yields the same pairs.
     pub fn cost_morsels(&self, target_tasks: usize) -> Vec<Range<u32>> {
@@ -220,11 +280,11 @@ impl StreamingMetaBlocking {
         cuts
     }
 
-    /// Emit the retained pairs of a contiguous node range: re-materialize
-    /// each node's neighborhood, weight its forward (`node < j`) edges and
-    /// apply the resolved retention rule — the staged pass B, scoped to
-    /// `range`. Output is sorted by pair (see the module docs); disjoint
-    /// ranges are independent, so fused producers call this concurrently.
+    /// Pass B over a contiguous node range: re-materialize each node's
+    /// neighborhood, weigh its forward (`node < j`) edges and apply the
+    /// resolved retention rule. Output is sorted by pair (see the module
+    /// docs); disjoint ranges are independent, so fused producers call
+    /// this concurrently.
     pub fn prune_range(
         &self,
         range: Range<u32>,
@@ -255,11 +315,30 @@ impl StreamingMetaBlocking {
         out
     }
 
-    /// Prune every node sequentially — the staged result, used by parity
-    /// tests and as a fallback for contexts without a pool.
+    /// Pass B over every node on the calling thread.
     pub fn prune_all(&self) -> Vec<(Pair, f64)> {
         let mut scratch = self.make_scratch();
         self.prune_range(0..self.num_nodes() as u32, &mut scratch)
+    }
+
+    /// Pass B on the context's worker pool: `prune_range` over
+    /// `cost_morsels(workers × 32)`, one dynamically claimed task per
+    /// range with the worker slot's reusable scratch, concatenated in
+    /// node order — the same sorted pairs as [`StreamingMetaBlocking::prune_all`].
+    pub(crate) fn prune_pool(&self, ctx: &Context) -> Vec<(Pair, f64)>
+    where
+        G: Sync,
+    {
+        let scratches = WorkerLocal::new(ctx.workers(), || self.make_scratch());
+        ctx.parallelize_default(self.cost_morsels(ctx.workers() * 32))
+            .map_morsels_named("metablocking_pass_b", 1, |worker, ranges| {
+                // Grain 1: a task holds at most one range.
+                let Some(range) = ranges.first() else {
+                    return Vec::new();
+                };
+                scratches.with(worker, |scratch| self.prune_range(range.clone(), scratch))
+            })
+            .collect()
     }
 }
 

@@ -1,14 +1,16 @@
 //! Property-based tests of meta-blocking: pruning soundness (retained ⊆
-//! implicit edges), parallel/sequential parity, weight invariants.
+//! implicit edges), every driver of the node-pass kernel against an
+//! independent naive oracle, weight invariants.
 
 use proptest::prelude::*;
 use sparker_blocking::token_blocking;
 use sparker_dataflow::Context;
 use sparker_metablocking::{
-    meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeScorer, LinearModel,
-    MetaBlockingConfig, PruningStrategy, Scheduling, ScoringContext, WeightScheme, NUM_FEATURES,
+    derived_cnp_k, meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeAccumulator,
+    EdgeScorer, LinearModel, MetaBlockingConfig, NodeStats, PruningStrategy, RetentionRule,
+    ScoringContext, StreamingMetaBlocking, WeightScheme, NUM_FEATURES,
 };
-use sparker_profiles::{Pair, Profile, ProfileCollection, SourceId};
+use sparker_profiles::{Pair, Profile, ProfileCollection, ProfileId, SourceId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -65,9 +67,172 @@ fn skewed_collection_strategy() -> impl Strategy<Value = ProfileCollection> {
         })
 }
 
-fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
-    let scheme = prop::sample::select(WeightScheme::ALL.to_vec());
-    let pruning = prop_oneof![
+/// Naive reference meta-blocking, written independently of the node-pass
+/// kernel: an owned neighborhood `Vec` and a fresh weights `Vec` per node,
+/// a full descending sort for the CNP k-th weight, the global weight pool
+/// collected alongside the per-node statistics, and a separate pass B.
+/// It shares only the per-edge weight function with the crate.
+fn oracle(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
+    let scoring = config.scoring_context(graph);
+    let descending = |a: &f64, b: &f64| b.partial_cmp(a).expect("weights are finite");
+    let weigh = |node: ProfileId, j: ProfileId, acc: &EdgeAccumulator| {
+        let (bn, bj) = (graph.blocks_of(node).len(), graph.blocks_of(j).len());
+        scoring.weigh(node, j, acc, bn, bj)
+    };
+    let n = graph.num_profiles();
+    let mut scratch = graph.scratch();
+
+    // Pass A: every node's statistics, every edge's weight once (i < j).
+    let cnp_k = match config.pruning {
+        PruningStrategy::Cnp { k, .. } => {
+            k.unwrap_or_else(|| derived_cnp_k(graph.total_assignments(), n))
+        }
+        _ => 1,
+    };
+    let mut stats = Vec::with_capacity(n);
+    let mut all_weights = Vec::new();
+    for i in 0..n {
+        let node = ProfileId(i as u32);
+        let neighborhood = graph.neighborhood_with(node, &mut scratch);
+        let mut weights: Vec<f64> = Vec::with_capacity(neighborhood.len());
+        for (j, acc) in &neighborhood {
+            let w = weigh(node, *j, acc);
+            weights.push(w);
+            if node < *j {
+                all_weights.push(w);
+            }
+        }
+        if weights.is_empty() {
+            stats.push(NodeStats {
+                mean: 0.0,
+                max: 0.0,
+                kth: f64::INFINITY,
+            });
+            continue;
+        }
+        let sum: f64 = weights.iter().sum();
+        let max = weights.iter().fold(0.0f64, |a, &b| a.max(b));
+        let mut sorted = weights.clone();
+        sorted.sort_by(descending);
+        stats.push(NodeStats {
+            mean: sum / weights.len() as f64,
+            max,
+            kth: sorted[(cnp_k.min(sorted.len())).saturating_sub(1)],
+        });
+    }
+
+    let rule = match config.pruning {
+        PruningStrategy::Wep { factor } => {
+            let mean = if all_weights.is_empty() {
+                0.0
+            } else {
+                all_weights.iter().sum::<f64>() / all_weights.len() as f64
+            };
+            RetentionRule::GlobalThreshold(factor * mean)
+        }
+        PruningStrategy::Cep { retain } => {
+            let budget = retain.unwrap_or(graph.total_assignments() / 2).max(1) as usize;
+            all_weights.sort_by(descending);
+            let threshold = all_weights
+                .get((budget.min(all_weights.len())).saturating_sub(1))
+                .copied()
+                .unwrap_or(0.0);
+            RetentionRule::GlobalThreshold(threshold)
+        }
+        PruningStrategy::Wnp { factor, reciprocal } => {
+            RetentionRule::NodeMean { factor, reciprocal }
+        }
+        PruningStrategy::Cnp { reciprocal, .. } => RetentionRule::NodeKth { reciprocal },
+        PruningStrategy::Blast { ratio } => RetentionRule::BlastMaxima { ratio },
+    };
+
+    // Pass B: re-materialize, keep each retained edge once.
+    let mut retained = Vec::new();
+    for i in 0..n {
+        let node = ProfileId(i as u32);
+        for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
+            if node < j {
+                let w = weigh(node, j, &acc);
+                if rule.keeps(w, &stats[i], &stats[j.index()]) {
+                    retained.push((Pair::new(node, j), w));
+                }
+            }
+        }
+    }
+    retained.sort_by_key(|(p, _)| *p);
+    retained
+}
+
+/// Every driver of the node-pass kernel against [`oracle`]: the sequential
+/// `meta_blocking_graph`, `parallel::meta_blocking` at each worker count,
+/// and the concatenation of `prune_range` over a `cost_morsels` cover.
+fn check_against_oracle(
+    graph: &Arc<BlockGraph>,
+    config: &MetaBlockingConfig,
+    workers: &[usize],
+) -> Result<(), String> {
+    let want = oracle(graph, config);
+    let label = format!(
+        "{}+{}{}",
+        config.scorer.name(),
+        config.pruning.name(),
+        if config.use_entropy { "+entropy" } else { "" }
+    );
+    if meta_blocking_graph(graph, config) != want {
+        return Err(format!(
+            "{label}: meta_blocking_graph diverged from the oracle"
+        ));
+    }
+    for &w in workers {
+        let ctx = Context::new(w);
+        if parallel::meta_blocking(&ctx, graph, config) != want {
+            return Err(format!(
+                "{label}: parallel::meta_blocking diverged at {w} workers"
+            ));
+        }
+        let stream = StreamingMetaBlocking::prepare(&ctx, graph, config);
+        let mut scratch = stream.make_scratch();
+        let cover: Vec<_> = stream
+            .cost_morsels(7)
+            .into_iter()
+            .flat_map(|r| stream.prune_range(r, &mut scratch))
+            .collect();
+        if cover != want {
+            return Err(format!(
+                "{label}: cost_morsels cover diverged at {w} workers"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The block graph of `coll`, with varied per-block entropies when
+/// `use_entropy` asks for them.
+fn graph_of(coll: &ProfileCollection, use_entropy: bool) -> Arc<BlockGraph> {
+    let blocks = token_blocking(coll);
+    let entropies = use_entropy.then(|| {
+        BlockEntropies::new(
+            (0..blocks.len())
+                .map(|b| 0.1 + (b % 5) as f64 * 0.3)
+                .collect(),
+        )
+    });
+    Arc::new(BlockGraph::new(&blocks, entropies.as_ref()))
+}
+
+/// A supervised model over shared blocks, Jaccard and the max-degree
+/// feature, so the degree statistics feed the weights.
+fn supervised_model(shared: f64, jaccard: f64, max_degree: f64, bias: f64) -> LinearModel {
+    let mut model = LinearModel::zero();
+    model.weights[0] = shared;
+    model.weights[3] = jaccard;
+    model.weights[11] = max_degree;
+    model.bias = bias;
+    model
+}
+
+fn pruning_strategy() -> impl Strategy<Value = PruningStrategy> {
+    prop_oneof![
         (0.3f64..1.6).prop_map(|factor| PruningStrategy::Wep { factor }),
         prop::option::of(1u64..40).prop_map(|retain| PruningStrategy::Cep { retain }),
         (0.3f64..1.6, proptest::bool::ANY)
@@ -75,8 +240,28 @@ fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
         (prop::option::of(1usize..5), proptest::bool::ANY)
             .prop_map(|(k, reciprocal)| PruningStrategy::Cnp { k, reciprocal }),
         (0.05f64..1.0).prop_map(|ratio| PruningStrategy::Blast { ratio }),
+    ]
+}
+
+/// Classic and supervised scorers, with and without entropy weighting.
+fn oracle_config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
+    let scorer = prop_oneof![
+        prop::sample::select(WeightScheme::ALL.to_vec()).prop_map(EdgeScorer::Classic),
+        (-1.0f64..1.0, 0.0f64..3.0, -0.05f64..0.05, -1.5f64..0.5)
+            .prop_map(|(s, j, d, b)| { EdgeScorer::Supervised(supervised_model(s, j, d, b)) }),
     ];
-    (scheme, pruning).prop_map(|(scheme, pruning)| MetaBlockingConfig {
+    (scorer, pruning_strategy(), proptest::bool::ANY).prop_map(|(scorer, pruning, use_entropy)| {
+        MetaBlockingConfig {
+            scorer,
+            pruning,
+            use_entropy,
+        }
+    })
+}
+
+fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
+    let scheme = prop::sample::select(WeightScheme::ALL.to_vec());
+    (scheme, pruning_strategy()).prop_map(|(scheme, pruning)| MetaBlockingConfig {
         scorer: EdgeScorer::Classic(scheme),
         pruning,
         use_entropy: false,
@@ -108,34 +293,23 @@ proptest! {
     #[test]
     fn parallel_equals_sequential(
         coll in collection_strategy(),
-        config in config_strategy(),
-        workers in 1usize..5,
+        config in oracle_config_strategy(),
+        workers in prop::sample::select(vec![1usize, 2, 8]),
     ) {
-        let blocks = token_blocking(&coll);
-        let graph = std::sync::Arc::new(BlockGraph::new(&blocks, None));
-        let seq = meta_blocking_graph(&graph, &config);
-        let ctx = Context::new(workers);
-        let par = parallel::meta_blocking(&ctx, &graph, &config);
-        prop_assert_eq!(seq, par);
+        let graph = graph_of(&coll, config.use_entropy);
+        check_against_oracle(&graph, &config, &[workers]).map_err(TestCaseError::fail)?;
     }
 
     #[test]
     fn scheduled_parallel_equals_sequential(
         coll in prop_oneof![collection_strategy(), skewed_collection_strategy()],
-        config in config_strategy(),
-        workers in prop::sample::select(vec![1usize, 2, 8]),
+        config in oracle_config_strategy(),
     ) {
-        // Both scheduling policies — including the skew-aware cost-morsel
-        // default — must reproduce the sequential driver byte for byte, on
-        // hub-heavy graphs as well as uniform ones.
-        let blocks = token_blocking(&coll);
-        let graph = Arc::new(BlockGraph::new(&blocks, None));
-        let seq = meta_blocking_graph(&graph, &config);
-        let ctx = Context::new(workers);
-        for sched in [Scheduling::EqualCount, Scheduling::CostMorsel] {
-            let par = parallel::meta_blocking_scheduled(&ctx, &graph, &config, sched);
-            prop_assert_eq!(&seq, &par, "{} diverged at {} workers", sched.name(), workers);
-        }
+        // Hub-heavy graphs as well as uniform ones: the degree-cut pass-B
+        // morsels and the pass-A morsels must not change a bit at any
+        // worker count.
+        let graph = graph_of(&coll, config.use_entropy);
+        check_against_oracle(&graph, &config, &[1, 2, 8]).map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -274,11 +448,12 @@ proptest! {
 }
 
 /// Deterministic exhaustive companion to `scheduled_parallel_equals_sequential`:
-/// every `WeightScheme × PruningStrategy` at 1/2/8 workers, on one fixed
-/// hub-skewed and one fixed uniform collection.
+/// every scorer (each classic scheme and a supervised model) × pruning
+/// strategy, with and without entropy weighting, at 1/2/8 workers, on one
+/// fixed hub-skewed and one fixed uniform collection.
 #[test]
-fn full_matrix_scheduling_parity_at_1_2_8_workers() {
-    let make = |skewed: bool| -> Arc<BlockGraph> {
+fn full_matrix_matches_oracle_at_1_2_8_workers() {
+    let make = |skewed: bool| -> ProfileCollection {
         let profiles = (0..60)
             .map(|i| {
                 let mut text = format!("tok{} tok{}", i % 9, (i * 7 + 3) % 9);
@@ -290,8 +465,7 @@ fn full_matrix_scheduling_parity_at_1_2_8_workers() {
                     .build()
             })
             .collect();
-        let coll = ProfileCollection::dirty(profiles);
-        Arc::new(BlockGraph::new(&token_blocking(&coll), None))
+        ProfileCollection::dirty(profiles)
     };
     let prunings = [
         PruningStrategy::Wep { factor: 1.0 },
@@ -304,29 +478,31 @@ fn full_matrix_scheduling_parity_at_1_2_8_workers() {
             k: Some(3),
             reciprocal: false,
         },
+        PruningStrategy::Cnp {
+            k: None,
+            reciprocal: true,
+        },
         PruningStrategy::Blast { ratio: 0.35 },
     ];
-    for graph in [make(true), make(false)] {
-        for scheme in WeightScheme::ALL {
-            for pruning in prunings {
-                let config = MetaBlockingConfig {
-                    scorer: EdgeScorer::Classic(scheme),
-                    pruning,
-                    use_entropy: false,
-                };
-                let seq = meta_blocking_graph(&graph, &config);
-                for workers in [1usize, 2, 8] {
-                    let ctx = Context::new(workers);
-                    for sched in [Scheduling::EqualCount, Scheduling::CostMorsel] {
-                        assert_eq!(
-                            seq,
-                            parallel::meta_blocking_scheduled(&ctx, &graph, &config, sched),
-                            "{}/{} diverged under {} at {} workers",
-                            scheme.name(),
-                            pruning.name(),
-                            sched.name(),
-                            workers
-                        );
+    let scorers = WeightScheme::ALL
+        .into_iter()
+        .map(EdgeScorer::Classic)
+        .chain([EdgeScorer::Supervised(supervised_model(
+            0.4, 2.5, -0.01, -1.0,
+        ))]);
+    let scorers: Vec<EdgeScorer> = scorers.collect();
+    for coll in [make(true), make(false)] {
+        for use_entropy in [false, true] {
+            let graph = graph_of(&coll, use_entropy);
+            for &scorer in &scorers {
+                for pruning in prunings {
+                    let config = MetaBlockingConfig {
+                        scorer,
+                        pruning,
+                        use_entropy,
+                    };
+                    if let Err(e) = check_against_oracle(&graph, &config, &[1, 2, 8]) {
+                        panic!("{e}");
                     }
                 }
             }

@@ -21,8 +21,8 @@
 //! * `POST /shutdown` — begin graceful shutdown (in-flight requests
 //!   drain; the accept loop exits).
 //!
-//! Malformed requests/bodies get 400, unknown routes/ids 404 — always with
-//! a JSON `{"error": "..."}` body.
+//! Malformed requests/bodies get 400, unknown routes/ids 404, bodies over
+//! 8 MiB 413 — always with a JSON `{"error": "..."}` body.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -176,6 +176,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Largest request body the server accepts (8 MiB). A larger
+/// `Content-Length` is answered with 413 before any body buffer is
+/// allocated, so a client header cannot make the server reserve memory.
+const MAX_BODY_BYTES: usize = 8 << 20;
+
 struct Request {
     method: String,
     path: String,
@@ -192,6 +197,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
         Ok(r) => r,
+        Err(e) if e.kind() == io::ErrorKind::FileTooLarge => {
+            return write_reply(&stream, 413, &error_json(&e.to_string()));
+        }
         Err(e) => {
             return write_reply(
                 &stream,
@@ -235,6 +243,14 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
                 })?;
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::FileTooLarge,
+            format!(
+                "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            ),
+        ));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -408,6 +424,7 @@ fn write_reply(mut stream: &TcpStream, status: u16, body: &str) -> io::Result<()
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     let response = format!(

@@ -898,8 +898,8 @@ impl ResolverState {
     }
 
     /// Retention over the incrementally maintained adjacency: mirrors
-    /// `meta_blocking_graph` — per-node stats (mean / max / k-th) from the
-    /// maintained rows, the WEP global mean from an exact integer sum, and
+    /// `meta_blocking_graph` — per-node stats from the maintained rows
+    /// through the kernel's own `NodeStats::from_weights`, the WEP global mean from an exact integer sum, and
     /// `RetentionRule::keeps` replayed per edge.
     fn fast_retained(&mut self) -> HashSet<(PKey, PKey)> {
         let fast = self.fast.as_ref().expect("fast path state");
@@ -952,32 +952,11 @@ impl ResolverState {
             let mut weights: Vec<f64> = Vec::new();
             for (&node, row) in &fast.rows {
                 weights.clear();
-                let mut sum = 0.0f64;
-                let mut max = 0.0f64;
-                for &(_, w) in row {
-                    let w = w as f64;
-                    weights.push(w);
-                    sum += w;
-                    max = max.max(w);
-                }
-                let mean = sum / weights.len() as f64;
-                let k = (cnp_k.min(weights.len())).saturating_sub(1);
-                let (_, kth, _) = weights
-                    .select_nth_unstable_by(k, |a, b| b.partial_cmp(a).expect("finite weights"));
-                stats.insert(
-                    node,
-                    NodeStats {
-                        mean,
-                        max,
-                        kth: *kth,
-                    },
-                );
+                weights.extend(row.iter().map(|&(_, w)| w as f64));
+                stats.insert(node, NodeStats::from_weights(&mut weights, cnp_k));
             }
         }
-        let empty = NodeStats {
-            kth: f64::INFINITY,
-            ..NodeStats::default()
-        };
+        let empty = NodeStats::from_weights(&mut [], 1);
         let mut retained = HashSet::new();
         for (&a, row) in &fast.rows {
             let sa = stats.get(&a).unwrap_or(&empty);

@@ -142,6 +142,36 @@ fn malformed_bodies_get_400() {
 }
 
 #[test]
+fn oversized_content_length_gets_413_without_allocating() {
+    let handle = boot(2);
+    let addr = handle.addr();
+    // A 1 TiB Content-Length and no body: the server must refuse from the
+    // header alone instead of reserving (or waiting for) the body.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            b"POST /profiles HTTP/1.1\r\nHost: localhost\r\n\
+              Content-Length: 1099511627776\r\nConnection: close\r\n\r\n",
+        )
+        .expect("send headers");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(
+        response.starts_with("HTTP/1.1 413 "),
+        "expected 413, got {response:?}"
+    );
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    let JsonValue::Object(map) = parse_json(body).expect("error body is well-formed JSON") else {
+        panic!("error body must be an object")
+    };
+    assert!(map.contains_key("error"), "error body names the problem");
+    // The server is still up and answering.
+    let (status, stats) = get_json(addr, "/stats");
+    assert_eq!(status, 200);
+    assert_eq!(field_u64(&stats, "profiles"), 0);
+}
+
+#[test]
 fn unknown_routes_and_ids_get_404() {
     let handle = boot(2);
     let addr = handle.addr();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: formatting, release build, full test suite, clippy and
-# rustdoc with warnings denied, bench smoke, end-to-end pipeline smoke, a
-# CLI backend-matrix smoke, the supervised-scorer train/run/export smoke
-# and the online-serve smoke. Run from the repo root: scripts/ci.sh
+# Tier-1 CI gate: formatting, release build, the workspace and benchmark
+# test suites, clippy and rustdoc with warnings denied, bench smoke,
+# end-to-end pipeline smoke, a CLI backend-matrix smoke, the
+# supervised-scorer train/run/export smoke and the online-serve smoke. Run
+# from the repo root: scripts/ci.sh
 #
 # Scale tiers (environment-gated):
 #   BENCH_SMOKE=1       Bench binaries run each body once with no warmup
@@ -23,8 +24,15 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# The whole workspace, not just the root package: the per-crate parity
+# matrices, proptests and the serve equivalence harness live there.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+# The benchmark crate builds against the library's public API; its tests
+# fail CI when that API breaks.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml -q"
+cargo test --manifest-path perfbench/Cargo.toml -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

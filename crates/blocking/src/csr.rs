@@ -15,86 +15,7 @@
 
 use crate::block::Block;
 use crate::collection::BlockCollection;
-use sparker_profiles::{ErKind, ProfileId, TokenDict, TokenId};
-
-/// Per-profile key-id lists in CSR form: the keys of profile `p` are
-/// `ids[offsets[p]..offsets[p + 1]]`, each list sorted and deduplicated.
-/// The intermediate between tokenization and block construction.
-#[derive(Debug, Clone)]
-pub struct ProfileKeys {
-    ids: Vec<u32>,
-    offsets: Vec<u32>,
-}
-
-impl ProfileKeys {
-    /// Collect per-profile key lists. `fill` appends the (unsorted,
-    /// possibly duplicated) key ids of one profile into the buffer; the
-    /// builder sorts and deduplicates each list.
-    pub fn collect<P>(profiles: &[P], mut fill: impl FnMut(&P, &mut Vec<u32>)) -> Self {
-        let mut keys = ProfileKeys::new();
-        let mut buf: Vec<u32> = Vec::new();
-        for p in profiles {
-            fill(p, &mut buf);
-            keys.push_keys(&mut buf);
-        }
-        keys
-    }
-
-    /// An empty key table to grow incrementally with
-    /// [`ProfileKeys::push_keys`] — the streaming entry point used when
-    /// profiles arrive in chunks instead of as one slice.
-    pub fn new() -> Self {
-        ProfileKeys {
-            ids: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    /// Append the next profile's key list. `buf` holds its (unsorted,
-    /// possibly duplicated) key ids; the list is sorted, deduplicated and
-    /// adopted, and `buf` is left cleared for reuse.
-    pub fn push_keys(&mut self, buf: &mut Vec<u32>) {
-        buf.sort_unstable();
-        buf.dedup();
-        self.ids.extend_from_slice(buf);
-        self.offsets.push(self.ids.len() as u32);
-        buf.clear();
-    }
-
-    /// Number of profiles.
-    pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// `true` when no profiles were collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Key ids of profile `p`, deduplicated (sorted unless the lists were
-    /// [`ProfileKeys::remap`]ped afterwards).
-    pub fn keys_of(&self, p: usize) -> &[u32] {
-        &self.ids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-
-    /// Remap every key id through `perm` (`id ← perm[id]`) — how the
-    /// provisional insertion-order ids a `DictBuilder` hands out during the
-    /// single tokenization pass become final lexicographic `TokenId`s.
-    /// `perm` must be a bijection over the id space, so per-list dedup is
-    /// preserved; per-list *order* is not, which the counting-sort
-    /// construction in [`CompactBlocks::from_profile_keys`] never relies on.
-    pub fn remap(&mut self, perm: &[u32]) {
-        for id in &mut self.ids {
-            *id = perm[*id as usize];
-        }
-    }
-}
-
-impl Default for ProfileKeys {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+use sparker_profiles::{ErKind, ProfileId, ProfileKeys, TokenDict, TokenId};
 
 /// A block collection packed in CSR form: `members` holds every block's
 /// profiles back to back, `offsets[b]..offsets[b + 1]` delimits block `b`,

@@ -44,14 +44,15 @@ mod tokenblocking;
 
 pub use block::{Block, BlockId};
 pub use collection::{BlockCollection, ProfileBlocksIndex};
-pub use csr::{CompactBlocks, ProfileKeys};
+pub use csr::CompactBlocks;
 pub use filtering::block_filtering;
 pub use methods::{
     canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,
 };
 pub use purging::{purge_by_comparison_level, purge_oversized};
+pub use sparker_profiles::ProfileKeys;
 pub use tokenblocking::{
-    keyed_blocking, keyed_blocking_string, token_blocking, token_blocking_interned,
-    token_blocking_streaming, token_blocking_string, token_blocking_with_dict,
-    token_blocking_with_dict_budgeted,
+    compact_token_blocks, keyed_blocking, keyed_blocking_string, token_blocking,
+    token_blocking_interned, token_blocking_streaming, token_blocking_string,
+    token_blocking_with_dict, token_blocking_with_dict_budgeted,
 };

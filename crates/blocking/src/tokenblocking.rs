@@ -11,10 +11,11 @@
 
 use crate::block::Block;
 use crate::collection::BlockCollection;
-use crate::csr::{CompactBlocks, ProfileKeys};
+use crate::csr::CompactBlocks;
 use sparker_dataflow::MemBudget;
 use sparker_profiles::{
-    each_token, DictBuilder, ErKind, Profile, ProfileCollection, ProfileId, TokenDict,
+    each_token, DictBuilder, ErKind, InternedProfiles, Profile, ProfileCollection, ProfileId,
+    ProfileKeys, TokenDict,
 };
 use std::collections::HashMap;
 
@@ -24,69 +25,51 @@ use std::collections::HashMap;
 ///
 /// Blocks inducing no comparison (singletons; single-source blocks in
 /// clean–clean tasks) are dropped. Block order is deterministic: keys are
-/// sorted. Internally this interns tokens and buckets ids in **one pass**
-/// over the collection — see [`token_blocking_with_dict`] for the entry
-/// point that also returns the dictionary, and [`token_blocking_interned`]
-/// to reuse a dictionary that already exists.
+/// sorted. Internally this tokenizes and interns the collection **once**
+/// and counting-sorts the ids — see [`token_blocking_with_dict`] for the
+/// entry point that also returns the dictionary, and
+/// [`token_blocking_interned`] to reuse a dictionary that already exists.
 pub fn token_blocking(collection: &ProfileCollection) -> BlockCollection {
     let (dict, compact) = token_blocking_with_dict(collection);
     compact.materialize(&dict)
 }
 
-/// Single-pass interned Token Blocking: tokenizes the collection exactly
-/// once, interning tokens to provisional ids *while* collecting each
-/// profile's key list (one hash probe per occurrence), then remaps the
-/// recorded ids to final lexicographic [`sparker_profiles::TokenId`]s through the
-/// permutation [`DictBuilder::finish`] returns and counting-sorts them
-/// into the CSR [`CompactBlocks`]. No second tokenization pass, no
-/// per-occurrence binary search, no strings hashed twice.
-///
-/// Returns the dictionary alongside the blocks so downstream stages
-/// (meta-blocking, TF-IDF, materialization) share the same id space.
+/// Interned Token Blocking that also returns the dictionary, so
+/// downstream stages (meta-blocking, TF-IDF, materialization) share the
+/// same id space. [`token_blocking_with_dict_budgeted`] without a budget.
 pub fn token_blocking_with_dict(collection: &ProfileCollection) -> (TokenDict, CompactBlocks) {
-    let mut builder = DictBuilder::new();
-    let mut scratch = String::new();
-    let mut keys = ProfileKeys::collect(collection.profiles(), |p, buf| {
-        for a in &p.attributes {
-            each_token(&a.value, &mut scratch, |t| buf.push(builder.intern(t)));
-        }
-    });
-    let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    let compact = CompactBlocks::from_profile_keys(
-        collection.kind(),
-        collection.separator(),
-        dict.len(),
-        &keys,
-    );
-    (dict, compact)
+    token_blocking_with_dict_budgeted(collection, &MemBudget::unlimited())
 }
 
-/// [`token_blocking_with_dict`] under a memory budget: the same
-/// single-pass interning, but the CSR counting sort runs over bounded
-/// [`sparker_profiles::TokenId`] chunks
-/// ([`CompactBlocks::from_profile_keys_budgeted`]). Bit-identical output.
+/// Interned Token Blocking under a memory budget: the tokenize-and-intern
+/// kernel ([`InternedProfiles::build`]) on the calling thread, then
+/// [`compact_token_blocks`] over its lists. Tokenizes the collection
+/// exactly once; bit-identical output for every budget.
 pub fn token_blocking_with_dict_budgeted(
     collection: &ProfileCollection,
     budget: &MemBudget,
 ) -> (TokenDict, CompactBlocks) {
-    let mut builder = DictBuilder::new();
-    let mut scratch = String::new();
-    let mut keys = ProfileKeys::collect(collection.profiles(), |p, buf| {
-        for a in &p.attributes {
-            each_token(&a.value, &mut scratch, |t| buf.push(builder.intern(t)));
-        }
-    });
-    let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    let compact = CompactBlocks::from_profile_keys_budgeted(
+    let interned = InternedProfiles::build(collection, None, budget);
+    let compact = compact_token_blocks(collection, &interned, budget);
+    (interned.into_dict(), compact)
+}
+
+/// Token Blocking over the kernel's output: counting-sorts the per-profile
+/// token-id lists into the CSR [`CompactBlocks`], in bounded key chunks
+/// under a limited budget ([`CompactBlocks::from_profile_keys_budgeted`]).
+/// Blocks come out in lexicographic key order, as from [`token_blocking`].
+pub fn compact_token_blocks(
+    collection: &ProfileCollection,
+    interned: &InternedProfiles,
+    budget: &MemBudget,
+) -> CompactBlocks {
+    CompactBlocks::from_profile_keys_budgeted(
         collection.kind(),
         collection.separator(),
-        dict.len(),
-        &keys,
+        interned.dict().len(),
+        interned.keys(),
         budget,
-    );
-    (dict, compact)
+    )
 }
 
 /// Streaming Token Blocking: profiles arrive as owned chunks (in ascending

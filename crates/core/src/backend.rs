@@ -12,19 +12,19 @@
 //! backend. Adding a new substrate means implementing these five entry
 //! points, not writing a fourth driver.
 
-use sparker_blocking::{
-    block_filtering, keyed_blocking, token_blocking_with_dict_budgeted, BlockCollection,
-};
+use sparker_blocking::{block_filtering, compact_token_blocks, keyed_blocking, BlockCollection};
 use sparker_clustering::{
     cluster_edges, ClusteringAlgorithm, CollectionShape, ComponentsMode, EntityClusters,
 };
 use sparker_dataflow::{Context, MemBudget};
 use sparker_looseschema::{loose_schema_keys, AttributePartitioning};
-use sparker_matching::{CandidateGraph, Matcher, SimilarityGraph, ThresholdMatcher};
+use sparker_matching::{
+    CandidateGraph, Matcher, PreparedProfile, SimilarityGraph, ThresholdMatcher,
+};
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, MetaBlockingConfig,
 };
-use sparker_profiles::{Pair, ProfileCollection};
+use sparker_profiles::{InternedProfiles, Pair, ProfileCollection};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -44,9 +44,11 @@ pub enum ExecutionBackend {
     /// blocking and filtering, broadcast-join meta-blocking, broadcast
     /// matching, label-propagation connected components (the GraphX path).
     Dataflow(Context),
-    /// Morsel-driven persistent worker pool: dataflow blocker stages, CSR
-    /// candidate streaming with degree-cost morsels in the matcher,
-    /// per-worker union–find forests in the clusterer.
+    /// Morsel-driven persistent worker pool: the parallel
+    /// tokenize-and-intern kernel feeding a counting-sort CSR blocker (no
+    /// shuffle), sequential block filtering, CSR candidate streaming with
+    /// degree-cost morsels in the matcher (over the blocker's token
+    /// lists), per-worker union–find forests in the clusterer.
     Pool(Context),
     /// The pool backend with the prune→score stages fused: meta-blocking
     /// emits pruned pairs through a bounded morsel channel and the matcher
@@ -144,28 +146,56 @@ impl ExecutionBackend {
         partitioning: Option<&AttributePartitioning>,
         budget: &MemBudget,
     ) -> BlockCollection {
+        self.build_blocks_interned(collection, partitioning, budget)
+            .0
+    }
+
+    /// [`ExecutionBackend::build_blocks`] plus the tokenize-and-intern
+    /// kernel's output, when the backend ran it, for the matcher to reuse.
+    ///
+    /// Token Blocking on the sequential, pool and fused backends is the
+    /// kernel ([`InternedProfiles::build`]: on the calling thread, or as
+    /// parallel morsels on the pool) followed by the counting-sort CSR
+    /// build and materialization — no shuffle. The dataflow backend keeps
+    /// the paper's shuffle-based operator; keyed (loose-schema) blocking
+    /// keeps its own path on every backend.
+    pub(crate) fn build_blocks_interned(
+        &self,
+        collection: &ProfileCollection,
+        partitioning: Option<&AttributePartitioning>,
+        budget: &MemBudget,
+    ) -> (BlockCollection, Option<InternedProfiles>) {
         match (self, partitioning) {
-            (ExecutionBackend::Sequential, Some(parts)) => {
-                keyed_blocking(collection, |p| loose_schema_keys(p, parts))
-            }
-            (ExecutionBackend::Sequential, None) => {
-                let (dict, compact) = token_blocking_with_dict_budgeted(collection, budget);
-                compact.materialize(&dict)
-            }
+            (ExecutionBackend::Sequential, Some(parts)) => (
+                keyed_blocking(collection, |p| loose_schema_keys(p, parts)),
+                None,
+            ),
             (
                 ExecutionBackend::Dataflow(ctx)
                 | ExecutionBackend::Pool(ctx)
                 | ExecutionBackend::FusedPool(ctx),
                 Some(parts),
-            ) => sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
-                loose_schema_keys(p, parts)
-            }),
-            (
-                ExecutionBackend::Dataflow(ctx)
-                | ExecutionBackend::Pool(ctx)
-                | ExecutionBackend::FusedPool(ctx),
+            ) => (
+                sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
+                    loose_schema_keys(p, parts)
+                }),
                 None,
-            ) => sparker_blocking::dataflow::token_blocking(ctx, collection),
+            ),
+            (ExecutionBackend::Dataflow(ctx), None) => (
+                sparker_blocking::dataflow::token_blocking(ctx, collection),
+                None,
+            ),
+            (
+                ExecutionBackend::Sequential
+                | ExecutionBackend::Pool(_)
+                | ExecutionBackend::FusedPool(_),
+                None,
+            ) => {
+                let interned = InternedProfiles::build(collection, self.context(), budget);
+                let blocks = compact_token_blocks(collection, &interned, budget)
+                    .materialize(interned.dict());
+                (blocks, Some(interned))
+            }
         }
     }
 
@@ -174,15 +204,17 @@ impl ExecutionBackend {
     /// Block *purging* is a metadata-level filter over block statistics —
     /// cheap on the driver on every backend (SparkER's purging likewise
     /// reduces tiny per-block stats) — so the driver applies it directly;
-    /// only filtering is a backend entry point.
+    /// only filtering is a backend entry point. The pool backends run the
+    /// sequential kernel, which beats the two-shuffle dataflow operator;
+    /// the dataflow backend keeps the operator.
     pub fn filter_blocks(&self, blocks: BlockCollection, ratio: f64) -> BlockCollection {
         match self {
-            ExecutionBackend::Sequential => block_filtering(blocks, ratio),
-            ExecutionBackend::Dataflow(ctx)
-            | ExecutionBackend::Pool(ctx)
-            | ExecutionBackend::FusedPool(ctx) => {
+            ExecutionBackend::Dataflow(ctx) => {
                 sparker_blocking::dataflow::block_filtering(ctx, blocks, ratio)
             }
+            ExecutionBackend::Sequential
+            | ExecutionBackend::Pool(_)
+            | ExecutionBackend::FusedPool(_) => block_filtering(blocks, ratio),
         }
     }
 
@@ -218,9 +250,24 @@ impl ExecutionBackend {
         candidates: &HashSet<Pair>,
         budget: &MemBudget,
     ) -> SimilarityGraph {
+        self.score_pairs_interned(matcher, collection, None, candidates, budget)
+    }
+
+    /// [`ExecutionBackend::score_pairs`] over the run's kernel output, so
+    /// no profile is tokenized a second time (see
+    /// [`ExecutionBackend::prepared_views`]).
+    pub(crate) fn score_pairs_interned(
+        &self,
+        matcher: &ThresholdMatcher,
+        collection: &ProfileCollection,
+        interned: Option<InternedProfiles>,
+        candidates: &HashSet<Pair>,
+        budget: &MemBudget,
+    ) -> SimilarityGraph {
         match self {
             ExecutionBackend::Sequential => {
-                matcher.match_pairs(collection, candidates.iter().copied())
+                let prepared = self.prepared_views(collection, interned, budget);
+                matcher.match_prepared(&prepared, candidates.iter().copied())
             }
             ExecutionBackend::Dataflow(ctx) => {
                 let mut pairs: Vec<Pair> = candidates.iter().copied().collect();
@@ -228,13 +275,32 @@ impl ExecutionBackend {
                 matcher.match_pairs_dataflow(ctx, collection, pairs)
             }
             ExecutionBackend::Pool(ctx) | ExecutionBackend::FusedPool(ctx) => {
+                let prepared = self.prepared_views(collection, interned, budget);
                 let graph = Arc::new(CandidateGraph::from_pairs_budgeted(
                     collection.len(),
                     candidates.iter().copied(),
                     budget,
                 ));
-                matcher.match_candidates_pool(ctx, collection, &graph)
+                matcher
+                    .match_candidates_pool_prepared(ctx, Arc::new(prepared), &graph)
+                    .0
             }
+        }
+    }
+
+    /// The matcher's profile views on this backend's substrate: adopted
+    /// from the kernel output the blocker kept, or from a fresh kernel run
+    /// when there is none (keyed blocking, the dataflow blocker, or a
+    /// direct stage call). The kernel output is dropped once adopted.
+    pub(crate) fn prepared_views(
+        &self,
+        collection: &ProfileCollection,
+        interned: Option<InternedProfiles>,
+        budget: &MemBudget,
+    ) -> Vec<PreparedProfile> {
+        match interned {
+            Some(interned) => PreparedProfile::from_interned(self.context(), collection, &interned),
+            None => PreparedProfile::prepare_on(self.context(), collection, budget),
         }
     }
 

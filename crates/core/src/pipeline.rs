@@ -18,7 +18,7 @@ use sparker_matching::{SimilarityGraph, ThresholdMatcher};
 use sparker_metablocking::{
     block_entropies, BlockEntropies, BlockGraph, MetaBlockingConfig, StreamingMetaBlocking,
 };
-use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
+use sparker_profiles::{GroundTruth, InternedProfiles, Pair, ProfileCollection};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,14 +137,21 @@ impl Pipeline {
     /// `filter_blocks` and `prune_candidates` on the given backend, each
     /// inside a [`StageScope`]. `budget` is the run's memory budget,
     /// resolved once by the caller so sequential-backend spill statistics
-    /// accumulate across stages. Returns the blocker output plus the three
-    /// stage-report rows.
+    /// accumulate across stages. Returns the blocker output, the three
+    /// stage-report rows, the edge-scorer statistics and the
+    /// tokenize-and-intern kernel's output when the blocker ran it (for
+    /// the matcher to reuse).
     pub(crate) fn run_blocker_on(
         &self,
         backend: &ExecutionBackend,
         collection: &ProfileCollection,
         budget: &MemBudget,
-    ) -> (BlockerOutput, Vec<StageReport>, ScoringStats) {
+    ) -> (
+        BlockerOutput,
+        Vec<StageReport>,
+        ScoringStats,
+        Option<InternedProfiles>,
+    ) {
         let bc = &self.config.blocking;
         let ctx = backend.context();
         let BlockStages {
@@ -153,6 +160,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
+            interned,
         } = self.run_block_stages(backend, collection, budget);
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
@@ -186,12 +194,13 @@ impl Pipeline {
             candidates,
             weighted_candidates,
         };
-        (output, stages, scoring)
+        (output, stages, scoring, interned)
     }
 
     /// Stages 1–2 — blocking and purging/filtering — shared by the staged
     /// and fused drivers. Returns the cleaned blocks plus the two stage
-    /// rows.
+    /// rows, keeping the kernel output of token blocking alive for the
+    /// score stage.
     fn run_block_stages(
         &self,
         backend: &ExecutionBackend,
@@ -208,7 +217,8 @@ impl Pipeline {
             .loose_schema
             .as_ref()
             .map(|lsh| partition_attributes(collection, lsh));
-        let blocks = backend.build_blocks(collection, partitioning.as_ref(), budget);
+        let (blocks, interned) =
+            backend.build_blocks_interned(collection, partitioning.as_ref(), budget);
         let initial_blocks = blocks.len();
         let initial_comparisons = blocks.total_comparisons();
         stages.push(scope.finish(collection.len() as u64, initial_blocks as u64));
@@ -237,6 +247,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             stages,
+            interned,
         }
     }
 
@@ -274,14 +285,21 @@ impl Pipeline {
             }
         }
 
-        let (blocker, mut stages, scoring) = self.run_blocker_on(backend, collection, &budget);
+        let (blocker, mut stages, scoring, interned) =
+            self.run_blocker_on(backend, collection, &budget);
         let ctx = backend.context();
 
         // Stage 4: entity matching.
         let scope = StageScope::begin(PipelineStage::ScorePairs, ctx, &budget);
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
-        let similarity = backend.score_pairs(&matcher, collection, &blocker.candidates, &budget);
+        let similarity = backend.score_pairs_interned(
+            &matcher,
+            collection,
+            interned,
+            &blocker.candidates,
+            &budget,
+        );
         stages.push(scope.finish(blocker.candidates.len() as u64, similarity.len() as u64));
 
         // Stage 5: entity clustering.
@@ -322,6 +340,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
+            interned,
         } = self.run_block_stages(backend, collection, budget);
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
@@ -349,6 +368,7 @@ impl Pipeline {
         let scope = StageScope::begin(PipelineStage::ScorePairs, Some(ctx), budget);
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
+        let prepared = Arc::new(backend.prepared_views(collection, interned, budget));
         let morsels = stream.cost_morsels(ctx.workers() * 32);
         let payload_bytes = (stream.total_edges() * 16 / morsels.len().max(1) as u64).max(1);
         let capacity = std::env::var(FUSED_CHANNEL_CAP_ENV)
@@ -356,7 +376,7 @@ impl Pipeline {
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(|| fused_channel_capacity(budget, ctx.workers(), payload_bytes));
         let prune_locals = Arc::new(WorkerLocal::new(ctx.workers(), || stream.make_scratch()));
-        let outcome = matcher.score_stream(ctx, collection, &morsels, capacity, {
+        let outcome = matcher.score_stream(ctx, prepared, &morsels, capacity, {
             let stream = &stream;
             let prune_locals = Arc::clone(&prune_locals);
             move |worker, range: &std::ops::Range<u32>| {
@@ -419,6 +439,8 @@ struct BlockStages {
     initial_blocks: usize,
     initial_comparisons: u64,
     stages: Vec<StageReport>,
+    /// The tokenize-and-intern kernel's output, when token blocking ran it.
+    interned: Option<InternedProfiles>,
 }
 
 /// Per-block entropies for entropy re-weighting, when enabled. Without a

@@ -13,8 +13,8 @@ use crate::candidates::{filter_candidates_pool, CandidateGraph};
 use crate::graph::SimilarityGraph;
 use crate::similarity::{self, MatchScratch};
 use crate::tfidf::TfIdfIndex;
-use sparker_dataflow::{Context, WorkerLocal};
-use sparker_profiles::{DictBuilder, Pair, Profile, ProfileCollection};
+use sparker_dataflow::{Broadcast, Context, MemBudget, WorkerLocal};
+use sparker_profiles::{DictBuilder, InternedProfiles, Pair, Profile, ProfileCollection};
 use std::sync::Arc;
 
 /// A whole-profile similarity measure selectable by name — the paper's
@@ -393,11 +393,12 @@ impl ScoringMode {
 /// measures) and the cached char count of the concatenation (length
 /// filters).
 ///
-/// Token ids are **provisional** ids from a caller-supplied
-/// [`DictBuilder`]: two views are only comparable when prepared against the
-/// same builder. Set-measure scores depend only on intersection counts and
-/// set sizes, which any injective token → id mapping preserves, so the
-/// builder's insertion-order ids need no lexicographic remap.
+/// Two views are only comparable when their token ids come from the same
+/// interning space: one [`DictBuilder`] ([`PreparedProfile::from_profile`])
+/// or one kernel run ([`PreparedProfile::from_interned`]). Set-measure
+/// scores depend only on intersection counts and set sizes, which any
+/// injective token → id mapping preserves, so views from either space
+/// score identically.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedProfile {
     /// Sorted, deduplicated interned token ids of the schema-agnostic
@@ -418,6 +419,11 @@ impl PreparedProfile {
         }
         token_ids.sort_unstable();
         token_ids.dedup();
+        Self::with_token_ids(profile, token_ids)
+    }
+
+    /// The views of `profile` over an already interned token set.
+    fn with_token_ids(profile: &Profile, token_ids: Vec<u32>) -> Self {
         let concatenated = profile.concatenated_values();
         let chars = concatenated.chars().count();
         PreparedProfile {
@@ -452,15 +458,54 @@ impl PreparedProfile {
         )
     }
 
-    /// Prepare every profile of a collection against one shared interner
-    /// (index = profile id).
+    /// Prepare every profile of a collection on the calling thread (index
+    /// = profile id): one sequential run of the tokenize-and-intern kernel,
+    /// then [`PreparedProfile::from_interned`].
     pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
-        let mut dict = DictBuilder::new();
-        let mut scratch = String::new();
-        collection
-            .profiles()
-            .iter()
-            .map(|p| PreparedProfile::from_profile(p, &mut dict, &mut scratch))
+        Self::prepare_on(None, collection, &MemBudget::unlimited())
+    }
+
+    /// [`PreparedProfile::prepare_all`] with the kernel and the view
+    /// derivation run as parallel morsels on `ctx` (or on the calling
+    /// thread without one) under `budget` — for callers with no kernel
+    /// output to share.
+    pub fn prepare_on(
+        ctx: Option<&Context>,
+        collection: &ProfileCollection,
+        budget: &MemBudget,
+    ) -> Vec<PreparedProfile> {
+        let interned = InternedProfiles::build(collection, ctx, budget);
+        Self::from_interned(ctx, collection, &interned)
+    }
+
+    /// The views of every profile (index = profile id) over the kernel's
+    /// output: each profile's token ids are copied from `interned`, so no
+    /// profile is tokenized again; only the concatenation and its char
+    /// count are derived, per contiguous morsel on `ctx` (or on the
+    /// calling thread without one).
+    pub fn from_interned(
+        ctx: Option<&Context>,
+        collection: &ProfileCollection,
+        interned: &InternedProfiles,
+    ) -> Vec<PreparedProfile> {
+        assert_eq!(
+            interned.len(),
+            collection.len(),
+            "kernel output must cover the collection"
+        );
+        let profiles = collection.profiles();
+        let view = |i: usize| Self::with_token_ids(&profiles[i], interned.token_ids(i).to_vec());
+        let Some(ctx) = ctx else {
+            return (0..profiles.len()).map(view).collect();
+        };
+        // One contiguous morsel per partition.
+        ctx.parallelize_default((0..profiles.len()).collect())
+            .map_morsels_named("prepare_profiles", profiles.len(), |_, ids| {
+                ids.iter().map(|&i| view(i)).collect()
+            })
+            .into_partitions()
+            .into_iter()
+            .flatten()
             .collect()
     }
 }
@@ -614,13 +659,27 @@ impl ThresholdMatcher {
 
     /// [`ThresholdMatcher::match_candidates_pool`] plus the cascade's
     /// merged [`FilterStats`] (what fraction of pairs the bounds filtered).
+    /// The views are prepared on the pool ([`PreparedProfile::prepare_on`]).
     pub fn match_candidates_pool_stats(
         &self,
         ctx: &Context,
         collection: &ProfileCollection,
         graph: &Arc<CandidateGraph>,
     ) -> (SimilarityGraph, FilterStats) {
-        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
+        let prepared = PreparedProfile::prepare_on(Some(ctx), collection, ctx.budget());
+        self.match_candidates_pool_prepared(ctx, Arc::new(prepared), graph)
+    }
+
+    /// [`ThresholdMatcher::match_candidates_pool_stats`] over views the
+    /// caller already prepared (index = profile id), e.g. from the run's
+    /// shared kernel output.
+    pub fn match_candidates_pool_prepared(
+        &self,
+        ctx: &Context,
+        prepared: Arc<Vec<PreparedProfile>>,
+        graph: &Arc<CandidateGraph>,
+    ) -> (SimilarityGraph, FilterStats) {
+        let prepared: Broadcast<Vec<PreparedProfile>> = ctx.broadcast(prepared);
         let matcher = self.clone();
         let locals = Arc::new(WorkerLocal::new(ctx.workers(), || {
             (MatchScratch::default(), FilterStats::default())
@@ -641,6 +700,27 @@ impl ThresholdMatcher {
         };
         (graph_out, stats)
     }
+
+    /// Score `candidates` on the calling thread against views the caller
+    /// already prepared (index = profile id) — [`Matcher::match_pairs`]
+    /// without the preparation.
+    pub fn match_prepared(
+        &self,
+        prepared: &[PreparedProfile],
+        candidates: impl IntoIterator<Item = Pair>,
+    ) -> SimilarityGraph {
+        let mut scratch = MatchScratch::default();
+        let mut stats = FilterStats::default();
+        SimilarityGraph::new(candidates.into_iter().filter_map(|pair| {
+            self.decide(
+                &prepared[pair.first.index()],
+                &prepared[pair.second.index()],
+                &mut scratch,
+                &mut stats,
+            )
+            .map(|s| (pair, s))
+        }))
+    }
 }
 
 impl Matcher for ThresholdMatcher {
@@ -660,18 +740,7 @@ impl Matcher for ThresholdMatcher {
         // Prepare each profile once; candidate sets typically reference the
         // same profiles many times, and tokenization dominates the naive
         // per-pair loop.
-        let prepared = PreparedProfile::prepare_all(collection);
-        let mut scratch = MatchScratch::default();
-        let mut stats = FilterStats::default();
-        SimilarityGraph::new(candidates.into_iter().filter_map(|pair| {
-            self.decide(
-                &prepared[pair.first.index()],
-                &prepared[pair.second.index()],
-                &mut scratch,
-                &mut stats,
-            )
-            .map(|s| (pair, s))
-        }))
+        self.match_prepared(&PreparedProfile::prepare_all(collection), candidates)
     }
 
     fn match_pairs_dataflow(
@@ -683,7 +752,11 @@ impl Matcher for ThresholdMatcher {
         // Broadcast the prepared views instead of the raw collection: every
         // task scores from the shared cache. Partition-granular mapping
         // gives each task one scratch warmed across its whole slice.
-        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
+        let prepared = ctx.broadcast(PreparedProfile::prepare_on(
+            Some(ctx),
+            collection,
+            ctx.budget(),
+        ));
         let matcher = self.clone();
         let ds = ctx.parallelize_default(candidates);
         let scored = ds.map_partitions(move |_, pairs| {

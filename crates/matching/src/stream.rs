@@ -22,8 +22,8 @@
 use crate::graph::SimilarityGraph;
 use crate::matcher::{FilterStats, PreparedProfile, ThresholdMatcher};
 use crate::similarity::MatchScratch;
-use sparker_dataflow::{pipelined_stage, Context, FusedStageStats, WorkerLocal};
-use sparker_profiles::{Pair, ProfileCollection};
+use sparker_dataflow::{pipelined_stage, Broadcast, Context, FusedStageStats, WorkerLocal};
+use sparker_profiles::Pair;
 use std::sync::Arc;
 
 /// Everything one fused prune→score run produces.
@@ -49,10 +49,14 @@ impl ThresholdMatcher {
     /// [`sparker_dataflow::fused_channel_capacity`] gives a
     /// `MemBudget`-aware default. Results are independent of both the
     /// worker count and `capacity`.
+    ///
+    /// `prepared` holds every profile's views (index = profile id), e.g.
+    /// adopted from the run's shared kernel output
+    /// ([`PreparedProfile::from_interned`]).
     pub fn score_stream<M, F>(
         &self,
         ctx: &Context,
-        collection: &ProfileCollection,
+        prepared: Arc<Vec<PreparedProfile>>,
         morsels: &[M],
         capacity: usize,
         produce: F,
@@ -61,7 +65,7 @@ impl ThresholdMatcher {
         M: Sync,
         F: Fn(usize, &M) -> Vec<(Pair, f64)> + Send + Sync,
     {
-        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
+        let prepared: Broadcast<Vec<PreparedProfile>> = ctx.broadcast(prepared);
         let matcher = self.clone();
         let locals = Arc::new(WorkerLocal::new(ctx.workers(), || {
             (MatchScratch::default(), FilterStats::default())
@@ -116,7 +120,7 @@ impl ThresholdMatcher {
 mod tests {
     use super::*;
     use crate::matcher::{Matcher, SimilarityMeasure};
-    use sparker_profiles::{Profile, ProfileId, SourceId};
+    use sparker_profiles::{Profile, ProfileCollection, ProfileId, SourceId};
 
     fn collection(n: usize) -> ProfileCollection {
         ProfileCollection::dirty(
@@ -148,7 +152,9 @@ mod tests {
         for workers in [1, 2, 4] {
             for capacity in [1, 2, 1 << 20] {
                 let ctx = Context::new(workers);
-                let out = matcher.score_stream(&ctx, &coll, &morsels, capacity, |_, m| m.clone());
+                let prepared = Arc::new(PreparedProfile::prepare_all(&coll));
+                let out =
+                    matcher.score_stream(&ctx, prepared, &morsels, capacity, |_, m| m.clone());
                 assert_eq!(
                     out.similarity.edges(),
                     staged.edges(),
@@ -170,7 +176,8 @@ mod tests {
         let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
         let morsels: Vec<Vec<(Pair, f64)>> = Vec::new();
         let ctx = Context::new(2);
-        let out = matcher.score_stream(&ctx, &coll, &morsels, 4, |_, m: &Vec<_>| m.clone());
+        let prepared = Arc::new(PreparedProfile::prepare_all(&coll));
+        let out = matcher.score_stream(&ctx, prepared, &morsels, 4, |_, m: &Vec<_>| m.clone());
         assert!(out.similarity.edges().is_empty());
         assert!(out.retained.is_empty());
     }

@@ -1,13 +1,22 @@
 //! Property-based tests of the similarity measures: bounds, symmetry,
 //! identity, and known orderings — at the raw-function level and at the
 //! [`SimilarityMeasure`] level the matchers use — plus the filter–verify
-//! cascade's exactness contract against the naive scorer.
+//! cascade's exactness contract against the naive scorer, and matching
+//! over the shared tokenize-and-intern kernel's views against views from a
+//! fresh interner.
 
 use proptest::prelude::*;
+use sparker_dataflow::{Context, MemBudget};
 use sparker_matching::similarity::*;
-use sparker_matching::{PreparedProfile, SimilarityMeasure};
-use sparker_profiles::{DictBuilder, Profile, SourceId};
+use sparker_matching::{
+    CandidateGraph, PreparedProfile, ScoringMode, SimilarityGraph, SimilarityMeasure,
+    ThresholdMatcher,
+};
+use sparker_profiles::{
+    DictBuilder, InternedProfiles, Pair, Profile, ProfileCollection, ProfileId, SourceId,
+};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn profile(values: &[String]) -> Profile {
     let mut b = Profile::builder(SourceId(0), "p");
@@ -233,5 +242,66 @@ proptest! {
         }
         prop_assert_eq!(monge_elkan("", ""), 1.0);
         prop_assert_eq!(jaro_winkler("", ""), 1.0);
+    }
+}
+
+/// Every profile's views over a fresh shared interner, in id order — the
+/// oracle the kernel-based views must score like.
+fn fresh_interner_views(coll: &ProfileCollection) -> Vec<PreparedProfile> {
+    let mut dict = DictBuilder::new();
+    let mut scratch = String::new();
+    coll.profiles()
+        .iter()
+        .map(|p| PreparedProfile::from_profile(p, &mut dict, &mut scratch))
+        .collect()
+}
+
+fn edge_bits(graph: &SimilarityGraph) -> Vec<(Pair, u64)> {
+    graph
+        .edges()
+        .iter()
+        .map(|&(p, s)| (p, s.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Views adopted from the shared tokenize-and-intern kernel give a
+    /// similarity graph bit-identical to views prepared one by one against
+    /// a fresh `DictBuilder`, for every measure and scoring mode, on the
+    /// calling thread and on the pool.
+    #[test]
+    fn kernel_views_match_fresh_interner_views(
+        rows in prop::collection::vec(values_strategy(), 0..14),
+        threshold in 0.0f64..=1.0,
+        workers in 1usize..4,
+    ) {
+        let coll = ProfileCollection::dirty(rows.iter().map(|r| profile(r)).collect());
+        let oracle = fresh_interner_views(&coll);
+        let ctx = Context::new(workers);
+        let interned = InternedProfiles::build(&coll, Some(&ctx), &MemBudget::unlimited());
+        let shared = Arc::new(PreparedProfile::from_interned(Some(&ctx), &coll, &interned));
+        for (got, want) in shared.iter().zip(&oracle) {
+            prop_assert_eq!(got.token_ids.len(), want.token_ids.len());
+            prop_assert_eq!(&got.concatenated, &want.concatenated);
+            prop_assert_eq!(got.chars, want.chars);
+        }
+        let n = coll.len() as u32;
+        let pairs: Vec<Pair> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| Pair::new(ProfileId(a), ProfileId(b))))
+            .collect();
+        let graph = Arc::new(CandidateGraph::from_pairs(coll.len(), pairs.iter().copied()));
+        for measure in SimilarityMeasure::ALL {
+            for mode in [ScoringMode::Cascade, ScoringMode::Naive] {
+                let matcher = ThresholdMatcher::with_mode(measure, threshold, mode);
+                let want = edge_bits(&matcher.match_prepared(&oracle, pairs.iter().copied()));
+                let seq = matcher.match_prepared(&shared, pairs.iter().copied());
+                prop_assert_eq!(edge_bits(&seq), want.clone(), "{} {:?}", measure.name(), mode);
+                let (pool, _) =
+                    matcher.match_candidates_pool_prepared(&ctx, Arc::clone(&shared), &graph);
+                prop_assert_eq!(edge_bits(&pool), want, "{} {:?} pool", measure.name(), mode);
+            }
+        }
     }
 }

@@ -16,7 +16,6 @@
 use crate::collection::ProfileCollection;
 use crate::profile::Profile;
 use crate::tokenize::{each_token, Token};
-use sparker_dataflow::Context;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -75,9 +74,10 @@ impl fmt::Display for TokenId {
 /// The distinct normalized tokens of a collection, interned to dense
 /// [`TokenId`]s in lexicographic order.
 ///
-/// Built in one pass over the collection ([`TokenDict::build`], or
-/// [`TokenDict::build_parallel`] on the dataflow pool); lookups are
-/// allocation-free binary searches, resolution is a vector index.
+/// Built in one pass over the collection ([`TokenDict::build`], or together
+/// with every profile's id list by
+/// [`InternedProfiles::build`](crate::InternedProfiles::build)); lookups
+/// are allocation-free binary searches, resolution is a vector index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenDict {
     /// Sorted distinct tokens; the index of a token is its id.
@@ -103,42 +103,16 @@ impl TokenDict {
         TokenDict { tokens }
     }
 
-    /// Intern every distinct token in one parallel pass on the dataflow
-    /// pool: each partition scans a contiguous profile range into a local
-    /// distinct set, the driver merges the (small) per-partition sets.
-    /// Identical to [`TokenDict::build`] for any worker count.
-    pub fn build_parallel(ctx: &Context, collection: &ProfileCollection) -> Self {
-        let n = collection.len();
-        if n == 0 {
-            return TokenDict::default();
-        }
-        // Contiguous index ranges, one record per eventual task.
-        let parts = ctx.default_partitions().min(n);
-        let ranges: Vec<(usize, usize)> = (0..parts)
-            .map(|i| (i * n / parts, (i + 1) * n / parts))
-            .collect();
-        let mut tokens: Vec<Token> = ctx
-            .parallelize(ranges, parts)
-            .map_partitions(|_, ranges| {
-                let mut set: HashSet<Token, FnvBuild> = HashSet::default();
-                let mut scratch = String::new();
-                for &(lo, hi) in ranges {
-                    for p in &collection.profiles()[lo..hi] {
-                        for a in &p.attributes {
-                            each_token(&a.value, &mut scratch, |t| {
-                                if !set.contains(t) {
-                                    set.insert(t.to_owned());
-                                }
-                            });
-                        }
-                    }
-                }
-                set.into_iter().collect()
-            })
-            .collect();
-        tokens.sort_unstable();
-        tokens.dedup();
+    /// Adopt an already sorted, deduplicated vocabulary (the kernel's
+    /// merged output).
+    pub(crate) fn from_sorted(tokens: Vec<Token>) -> Self {
+        debug_assert!(tokens.windows(2).all(|w| w[0] < w[1]));
         TokenDict { tokens }
+    }
+
+    /// The sorted tokens, by value.
+    pub(crate) fn into_tokens(self) -> Vec<Token> {
+        self.tokens
     }
 
     /// Number of distinct tokens.
@@ -332,21 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_equals_sequential() {
-        let coll = collection();
-        let seq = TokenDict::build(&coll);
-        for workers in [1, 2, 4] {
-            let ctx = Context::new(workers);
-            assert_eq!(TokenDict::build_parallel(&ctx, &coll), seq);
-        }
-    }
-
-    #[test]
     fn empty_collection_empty_dict() {
         let empty = ProfileCollection::dirty(vec![]);
         assert!(TokenDict::build(&empty).is_empty());
-        let ctx = Context::new(2);
-        assert!(TokenDict::build_parallel(&ctx, &empty).is_empty());
     }
 
     #[test]

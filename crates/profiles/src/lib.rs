@@ -34,9 +34,8 @@
 //!
 //! Tokens are the currency of the whole blocker — blocking keys, graph
 //! edges, TF-IDF terms. This crate therefore provides [`TokenDict`]: the
-//! distinct normalized tokens of a collection interned once (sequentially,
-//! or in one parallel pass via [`TokenDict::build_parallel`]) to dense
-//! `u32` [`TokenId`]s. Ids are assigned in **lexicographic token order**,
+//! distinct normalized tokens of a collection interned once to dense `u32`
+//! [`TokenId`]s. Ids are assigned in **lexicographic token order**,
 //! so sorting by id is sorting by key string, and structures built over ids
 //! come out in exactly the order their string-keyed equivalents would.
 //! Downstream crates key every hot path on `TokenId` (flat counting-sort
@@ -49,6 +48,12 @@
 //! vocabulary and returns the permutation that turns the recorded
 //! provisional ids into final lexicographic ids — one tokenization pass,
 //! one hash probe per occurrence, no binary searches.
+//!
+//! A pipeline run tokenizes each profile once, through
+//! [`InternedProfiles::build`]: a parallel tokenize-and-intern kernel that
+//! returns the dictionary plus every profile's sorted token-id list
+//! ([`ProfileKeys`]). The blocker builds its blocks from those lists and
+//! the matcher adopts them as its token views.
 //!
 //! ```
 //! use sparker_profiles::{Profile, ProfileCollection, SourceId, TokenDict};
@@ -67,6 +72,7 @@ mod csv;
 mod dict;
 mod error;
 mod groundtruth;
+mod interned;
 mod json;
 mod pair;
 mod profile;
@@ -79,6 +85,7 @@ pub use csv::{parse_csv, profiles_from_csv, write_csv, CsvOptions};
 pub use dict::{DictBuilder, TokenDict, TokenId};
 pub use error::{Error, Result};
 pub use groundtruth::GroundTruth;
+pub use interned::{InternedProfiles, ProfileKeys};
 pub use json::{parse_json, profiles_from_json_lines, JsonValue};
 pub use pair::Pair;
 pub use profile::{Profile, ProfileBuilder, ProfileId, SourceId};

@@ -149,6 +149,18 @@ case "${memory_line}" in
     ;;
 esac
 
+# Blocker parity at 100k scale: the sequential backend (one kernel morsel
+# on the calling thread) must report result counts identical to the
+# in-RAM pool run (parallel kernel morsels).
+echo "==> sparker --preset dirty_100k: sequential vs in-RAM pool"
+sequential_counts="$(cargo run -q --release --bin sparker -- --preset dirty_100k --backend sequential \
+  | grep '^result counts:')"
+echo "    sequential: ${sequential_counts#result counts: }"
+if [ "${inram_counts}" != "${sequential_counts}" ]; then
+  echo "sequential 100k run diverged from pool: '${sequential_counts}' != '${inram_counts}'" >&2
+  exit 1
+fi
+
 # Online-serve smoke: boot the incremental resolver behind its HTTP API,
 # insert a 1k slice of dirty_10k over the wire from concurrent clients,
 # and diff the service's /stats counts against a cold batch CLI run over

@@ -1,9 +1,9 @@
 //! Criterion benches for meta-blocking: per weighting scheme, per pruning
 //! strategy, the broadcast-join parallel implementation vs the sequential
-//! driver (the ablations behind experiments E7/E8), and pool worker
-//! scaling on Zipf-skewed and uniform graphs, with per-worker busy times
-//! recorded so the balance of the degree-cut morsels is visible, not
-//! asserted.
+//! driver (the ablations behind experiments E7/E8), pool worker scaling
+//! on Zipf-skewed and uniform graphs, with per-worker busy times recorded
+//! so the balance of the degree-cut morsels is visible, not asserted, and
+//! the node-pass kernel's two halves on a clean–clean Blast graph.
 //!
 //! Run with `BENCH_JSON=BENCH_metablocking.json cargo bench -p
 //! sparker-bench --bench metablocking` to dump every measurement as JSON.
@@ -16,11 +16,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparker_bench::{abt_buy_like, skewed_dirty, uniform_dirty};
-use sparker_blocking::{block_filtering, purge_oversized, token_blocking};
+use sparker_blocking::{block_filtering, keyed_blocking, purge_oversized, token_blocking};
 use sparker_dataflow::Context;
+use sparker_looseschema::{loose_schema_keys, partition_attributes, LshConfig};
 use sparker_metablocking::{
-    meta_blocking_graph, parallel, BlockGraph, EdgeScorer, MetaBlockingConfig, PruningStrategy,
-    WeightScheme,
+    block_entropies, meta_blocking_graph, parallel, BlockGraph, EdgeScorer, MetaBlockingConfig,
+    PruningStrategy, StreamingMetaBlocking, WeightScheme,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -160,11 +161,53 @@ fn bench_worker_scaling(c: &mut Criterion) {
     }
 }
 
+/// The Blast graph of the pipeline: loose-schema keyed blocking over a
+/// clean–clean products dataset, purged and filtered as
+/// `BlockingConfig::blast()` does, with per-block entropies.
+fn blast_clean_clean_graph() -> Arc<BlockGraph> {
+    let ds = abt_buy_like(1500);
+    let parts = partition_attributes(&ds.collection, &LshConfig::default());
+    let blocks = keyed_blocking(&ds.collection, |p| loose_schema_keys(p, &parts));
+    let blocks = block_filtering(purge_oversized(blocks, ds.collection.len(), 0.5), 0.8);
+    let entropies = block_entropies(&blocks, &parts);
+    Arc::new(BlockGraph::new(&blocks, Some(&entropies)))
+}
+
+/// The node-pass kernel's halves under the Blast configuration on a
+/// clean–clean graph — the shape where dense neighborhoods, forward-only
+/// pass B and the χ² table matter: pass A (`prepare`) at 1 and 2 workers,
+/// pass B sequentially (`prune_all`) and on the pool (`prune_pool`) at 1
+/// and 2 workers.
+fn bench_blast_clean_clean(c: &mut Criterion) {
+    let g = blast_clean_clean_graph();
+    let config = MetaBlockingConfig::blast();
+    let mut group = c.benchmark_group("metablocking/blast-clean-clean");
+    group.sample_size(10);
+    for workers in [1usize, 2] {
+        let ctx = Context::new(workers);
+        group.bench_function(BenchmarkId::new("pass-a", workers), |b| {
+            b.iter(|| StreamingMetaBlocking::prepare(&ctx, black_box(&g), &config))
+        });
+    }
+    let stream = StreamingMetaBlocking::prepare(&Context::new(1), &g, &config);
+    group.bench_function("pass-b/sequential", |b| {
+        b.iter(|| black_box(&stream).prune_all())
+    });
+    for workers in [1usize, 2] {
+        let ctx = Context::new(workers);
+        group.bench_function(BenchmarkId::new("pass-b", workers), |b| {
+            b.iter(|| black_box(&stream).prune_pool(&ctx))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_weight_schemes,
     bench_pruning_strategies,
     bench_parallel_vs_sequential,
-    bench_worker_scaling
+    bench_worker_scaling,
+    bench_blast_clean_clean
 );
 criterion_main!(benches);

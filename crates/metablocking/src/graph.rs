@@ -6,10 +6,31 @@
 //! demand from the inverted block index, the pruning rule is applied, and
 //! the edges are discarded; this is exactly the structure SparkER
 //! parallelizes with its broadcast join.
+//!
+//! ## The ordered drain
+//!
+//! A neighborhood is accumulated into a dense per-profile array and then
+//! drained as an ascending `(id, accumulator)` list. The drain picks the
+//! cheaper of two ways to produce that order, from the neighborhood
+//! itself: with `d` touched neighbors spanning `w` 64-bit words of the id
+//! space, it sets one bit per neighbor in a profile bitmap and walks the
+//! span word by word when `w ≤ d·⌈log₂ d⌉`, and comparison-sorts the
+//! touched ids otherwise. Dense neighborhoods (clean–clean Blast graphs,
+//! ~1 000 neighbors over a few thousand ids) take the linear walk; sparse
+//! ones (a few neighbors scattered over 100k ids) keep the sort. Both
+//! branches emit the same list, so the choice never changes a result.
+//!
+//! [`BlockGraph::forward_neighborhood_buffered`] materializes only the
+//! neighbors `j > node`: in each block it skips the comparable members up
+//! to the node with a binary search, so on clean–clean data every
+//! second-source node has an empty forward neighborhood. Each forward
+//! pair still accumulates over the node's blocks in ascending order, so
+//! its accumulator is bit-identical to the full neighborhood's.
 
 use crate::entropy::BlockEntropies;
 use sparker_blocking::{BlockCollection, CompactBlocks};
 use sparker_profiles::{ErKind, ProfileId};
+use std::ops::Range;
 
 /// Per-edge co-occurrence statistics accumulated while scanning shared
 /// blocks; the input of every [`crate::WeightScheme`].
@@ -31,9 +52,82 @@ pub struct EdgeAccumulator {
 pub struct NeighborhoodScratch {
     acc: Vec<EdgeAccumulator>,
     touched: Vec<u32>,
+    /// One bit per profile slot, all clear between calls: the bitmap of
+    /// the ordered drain (see the module docs).
+    bits: Vec<u64>,
     /// Output buffer of [`BlockGraph::neighborhood_buffered`], reused
     /// across nodes so a warm scratch makes the whole pass allocation-free.
     out: Vec<(ProfileId, EdgeAccumulator)>,
+}
+
+impl NeighborhoodScratch {
+    /// An empty scratch over `num_profiles` profile slots.
+    fn new(num_profiles: usize) -> Self {
+        NeighborhoodScratch {
+            acc: vec![EdgeAccumulator::default(); num_profiles],
+            touched: Vec::new(),
+            bits: vec![0; num_profiles / 64 + 1],
+            out: Vec::new(),
+        }
+    }
+
+    /// Drain the touched slots into `out` as an ascending
+    /// `(id, accumulator)` list, resetting every slot: walk the bitmap
+    /// when the touched span (in words) is at most `d·⌈log₂ d⌉`, sort the
+    /// touched ids otherwise.
+    fn drain(&mut self) {
+        match self.bitmap_words() {
+            Some(words) => self.drain_bitmap(words),
+            None => self.drain_sorted(),
+        }
+    }
+
+    /// The bitmap words spanned by the touched ids, when walking them is
+    /// cheaper than sorting the ids: `None` when the span exceeds
+    /// `d·⌈log₂ d⌉` words (and always for `d ≤ 1`).
+    fn bitmap_words(&self) -> Option<Range<usize>> {
+        let d = self.touched.len();
+        if d <= 1 {
+            return None;
+        }
+        let (lo, hi) = self
+            .touched
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        let ceil_log2 = (usize::BITS - (d - 1).leading_zeros()) as usize;
+        let (lo_word, hi_word) = (lo as usize / 64, hi as usize / 64);
+        (hi_word - lo_word < d * ceil_log2).then_some(lo_word..hi_word + 1)
+    }
+
+    /// The sorting drain.
+    fn drain_sorted(&mut self) {
+        self.touched.sort_unstable();
+        self.out.clear();
+        for &t in &self.touched {
+            self.out
+                .push((ProfileId(t), std::mem::take(&mut self.acc[t as usize])));
+        }
+        self.touched.clear();
+    }
+
+    /// The bitmap drain over the word range `words`, which must cover
+    /// every touched id; each word is cleared as it is read.
+    fn drain_bitmap(&mut self, words: Range<usize>) {
+        for &t in &self.touched {
+            self.bits[t as usize / 64] |= 1 << (t % 64);
+        }
+        self.out.clear();
+        for w in words {
+            let mut word = std::mem::take(&mut self.bits[w]);
+            while word != 0 {
+                let t = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.out
+                    .push((ProfileId(t as u32), std::mem::take(&mut self.acc[t])));
+            }
+        }
+        self.touched.clear();
+    }
 }
 
 /// A compact, immutable view of the block collection, indexed both ways,
@@ -323,11 +417,7 @@ impl BlockGraph {
     /// [`BlockGraph::neighborhood_with`]. One allocation serves any number
     /// of neighborhood materializations — the hot loop of meta-blocking.
     pub fn scratch(&self) -> NeighborhoodScratch {
-        NeighborhoodScratch {
-            acc: vec![EdgeAccumulator::default(); self.num_profiles],
-            touched: Vec::new(),
-            out: Vec::new(),
-        }
+        NeighborhoodScratch::new(self.num_profiles)
     }
 
     /// The comparable co-members of `node` within block `b` (for
@@ -385,12 +475,41 @@ impl BlockGraph {
         node: ProfileId,
         scratch: &'s mut NeighborhoodScratch,
     ) -> &'s [(ProfileId, EdgeAccumulator)] {
+        self.accumulate(node, false, scratch);
+        scratch.drain();
+        &scratch.out
+    }
+
+    /// [`BlockGraph::neighborhood_buffered`] restricted to the forward
+    /// neighbors `j > node` — the edges a node owns in the passes that
+    /// weigh each edge once. In every block only the comparable members
+    /// after the node are scanned, located by binary search on the sorted
+    /// candidate slice; each pair's accumulator is bit-identical to its
+    /// entry in the full neighborhood.
+    pub fn forward_neighborhood_buffered<'s>(
+        &self,
+        node: ProfileId,
+        scratch: &'s mut NeighborhoodScratch,
+    ) -> &'s [(ProfileId, EdgeAccumulator)] {
+        self.accumulate(node, true, scratch);
+        scratch.drain();
+        &scratch.out
+    }
+
+    /// Accumulate `node`'s co-occurrence statistics into the scratch, over
+    /// its blocks in ascending order; `forward` keeps only neighbors
+    /// `j > node`.
+    fn accumulate(&self, node: ProfileId, forward: bool, scratch: &mut NeighborhoodScratch) {
         debug_assert_eq!(scratch.acc.len(), self.num_profiles, "foreign scratch");
         for &b in self.blocks_of(node) {
             let bi = b as usize;
             let comparisons = self.block_comparisons[bi].max(1) as f64;
             let entropy = self.entropies.as_ref().map_or(1.0, |e| e[bi]);
-            for &other in self.candidates_of(node, bi) {
+            let mut candidates = self.candidates_of(node, bi);
+            if forward {
+                candidates = &candidates[candidates.partition_point(|&p| p <= node)..];
+            }
+            for &other in candidates {
                 if other == node {
                     continue;
                 }
@@ -403,14 +522,15 @@ impl BlockGraph {
                 slot.entropy_sum += entropy;
             }
         }
-        scratch.touched.sort_unstable();
-        scratch.out.clear();
-        for &t in &scratch.touched {
-            scratch.out.push((ProfileId(t), scratch.acc[t as usize]));
-            scratch.acc[t as usize] = EdgeAccumulator::default();
-        }
-        scratch.touched.clear();
-        &scratch.out
+    }
+
+    /// The largest number of blocks any profile belongs to.
+    pub(crate) fn max_blocks_per_profile(&self) -> usize {
+        self.profile_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Node degrees (distinct comparable neighbors per profile) and the
@@ -578,6 +698,149 @@ mod tests {
             let owned = g.neighborhood(node);
             let borrowed = g.neighborhood_buffered(node, &mut scratch).to_vec();
             assert_eq!(owned, borrowed, "node {i}");
+        }
+    }
+
+    /// Accumulate a distinct-valued contribution into each of `ids`, the
+    /// way [`BlockGraph::accumulate`] touches slots.
+    fn touch(scratch: &mut NeighborhoodScratch, ids: &[u32]) {
+        for &t in ids {
+            let slot = &mut scratch.acc[t as usize];
+            if slot.shared_blocks == 0 {
+                scratch.touched.push(t);
+            }
+            slot.shared_blocks += 1;
+            slot.arcs += 1.0 / (t as f64 + 1.0);
+            slot.entropy_sum += 0.25;
+        }
+    }
+
+    #[test]
+    fn bitmap_and_sort_drains_agree_from_dense_to_sparse() {
+        let n = 20_000u32;
+        let mut scratch = NeighborhoodScratch::new(n as usize);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        let (mut bitmap_chosen, mut sort_chosen) = (0, 0);
+        for span in [1u32, 64, 300, 2_000, 20_000] {
+            for count in [1usize, 2, 3, 17, 200, 3_000] {
+                let base = next(n - span + 1);
+                let ids: Vec<u32> = (0..count).map(|_| base + next(span)).collect();
+                // Forced sort branch.
+                touch(&mut scratch, &ids);
+                scratch.drain_sorted();
+                let sorted = scratch.out.clone();
+                assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+                // Forced bitmap branch over a covering word range.
+                touch(&mut scratch, &ids);
+                scratch.drain_bitmap(base as usize / 64..(base + span - 1) as usize / 64 + 1);
+                assert_eq!(scratch.out, sorted, "bitmap drain, span {span} × {count}");
+                // The cost rule's own choice.
+                touch(&mut scratch, &ids);
+                match scratch.bitmap_words() {
+                    Some(_) => bitmap_chosen += 1,
+                    None => sort_chosen += 1,
+                }
+                scratch.drain();
+                assert_eq!(scratch.out, sorted, "chosen drain, span {span} × {count}");
+                // Every drain leaves the scratch clean.
+                assert!(scratch.touched.is_empty());
+                assert!(scratch.bits.iter().all(|&w| w == 0));
+                assert!(scratch.acc.iter().all(|a| *a == EdgeAccumulator::default()));
+            }
+        }
+        assert!(bitmap_chosen > 0 && sort_chosen > 0);
+    }
+
+    #[test]
+    fn drain_cost_rule_picks_bitmap_for_dense_and_sort_for_sparse() {
+        let mut scratch = NeighborhoodScratch::new(100_000);
+        // 1 000 neighbors within 6 000 ids: 95 words ≤ 1 000 · 10.
+        touch(
+            &mut scratch,
+            &(0..1_000).map(|i| 6_000 + i * 6).collect::<Vec<_>>(),
+        );
+        assert_eq!(scratch.bitmap_words(), Some(93..188));
+        scratch.drain();
+        // 4 neighbors over 100k ids: 1 563 words > 4 · 2.
+        touch(&mut scratch, &[5, 30_000, 60_000, 99_999]);
+        assert_eq!(scratch.bitmap_words(), None);
+        scratch.drain();
+        // A single neighbor never needs ordering.
+        touch(&mut scratch, &[7]);
+        assert_eq!(scratch.bitmap_words(), None);
+    }
+
+    /// A dirty graph and a clean–clean graph, both with varied per-block
+    /// entropies and repeated co-occurrence.
+    fn dirty_and_clean_clean_graphs() -> Vec<BlockGraph> {
+        let text = |i: usize| format!("tok{} tok{} hub w{}", i % 6, (i + 2) % 7, i % 3);
+        let dirty = ProfileCollection::dirty(
+            (0..40)
+                .map(|i| {
+                    Profile::builder(SourceId(0), i.to_string())
+                        .attr("t", text(i))
+                        .build()
+                })
+                .collect(),
+        );
+        let side = |source: u8, n: usize| -> Vec<Profile> {
+            (0..n)
+                .map(|i| {
+                    Profile::builder(SourceId(source), format!("{source}-{i}"))
+                        .attr("t", text(i * (source as usize + 1)))
+                        .build()
+                })
+                .collect()
+        };
+        let clean = ProfileCollection::clean_clean(side(0, 25), side(1, 30));
+        [dirty, clean]
+            .iter()
+            .map(|coll| {
+                let blocks = token_blocking(coll);
+                let entropies = BlockEntropies::new(
+                    (0..blocks.len())
+                        .map(|b| 0.1 + (b % 5) as f64 * 0.3)
+                        .collect(),
+                );
+                BlockGraph::new(&blocks, Some(&entropies))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_neighborhood_is_the_full_one_past_the_node() {
+        for g in dirty_and_clean_clean_graphs() {
+            let mut scratch = g.scratch();
+            let mut forward_edges = 0;
+            for i in 0..g.num_profiles() as u32 {
+                let node = ProfileId(i);
+                let want: Vec<_> = g
+                    .neighborhood(node)
+                    .into_iter()
+                    .filter(|(j, _)| *j > node)
+                    .collect();
+                let got = g.forward_neighborhood_buffered(node, &mut scratch);
+                assert_eq!(got, want.as_slice(), "{:?} node {i}", g.kind());
+                forward_edges += got.len() as u64;
+            }
+            assert_eq!(forward_edges, g.degrees().1, "{:?}", g.kind());
+        }
+    }
+
+    #[test]
+    fn clean_clean_second_source_has_no_forward_neighbors() {
+        let (_, blocks) = figure1();
+        let g = BlockGraph::new(&blocks, None);
+        let mut scratch = g.scratch();
+        for i in 0..4u32 {
+            let forward = g.forward_neighborhood_buffered(ProfileId(i), &mut scratch);
+            assert_eq!(forward.is_empty(), i >= 2, "p{}", i + 1);
         }
     }
 

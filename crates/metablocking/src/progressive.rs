@@ -35,14 +35,11 @@ pub fn progressive_global(
     let mut scratch = graph.scratch();
     for i in 0..graph.num_profiles() {
         let node = ProfileId(i as u32);
-        for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
-            if node >= j {
-                continue;
-            }
+        for &(j, ref acc) in graph.forward_neighborhood_buffered(node, &mut scratch) {
             let w = scoring.weigh(
                 node,
                 j,
-                &acc,
+                acc,
                 graph.blocks_of(node).len(),
                 graph.blocks_of(j).len(),
             );

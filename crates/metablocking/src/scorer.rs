@@ -25,6 +25,22 @@
 //!   in-repo against synthetic ground truth (see [`crate::train_supervised`]).
 //!   Model weights serialize to/from a one-line JSON object so CLI runs
 //!   are reproducible.
+//!
+//! ## The base-weight table
+//!
+//! ECBS, JS and χ² are *count schemes*: before the entropy finish, their
+//! weight is a function of four integers — shared blocks `s`, the two
+//! endpoints' block counts `a` and `b`, and the total block count `|B|`
+//! (`WeightScheme::count_weight`). After block filtering no profile sits
+//! in more than a handful of blocks, so for these schemes the context
+//! fills a table `[a][b][s]` over `0 ≤ a, b, s ≤ m`, `m` the graph's
+//! largest block count per profile, by calling that same function: a
+//! lookup returns the exact bits of the direct evaluation and replaces a
+//! logarithm pair (ECBS) or a 2×2 χ² statistic per edge. The table is
+//! built only when its `(m + 1)³` entries do not outnumber the graph's
+//! profile→block assignments, so it never outgrows the index it
+//! summarizes; without it, and for inputs outside it, CBS, ARCS, EJS and
+//! supervised scorers, weights take the direct path.
 
 use crate::graph::{BlockGraph, EdgeAccumulator};
 use crate::weights::{GlobalStats, WeightScheme};
@@ -301,6 +317,47 @@ pub struct ScoringContext {
     scorer: EdgeScorer,
     use_entropy: bool,
     stats: GlobalStats,
+    /// Count-scheme base weights, when tabulated (see the module docs).
+    table: Option<BaseTable>,
+}
+
+/// `WeightScheme::count_weight` tabulated over `[a][b][s]`,
+/// `0 ≤ a, b, s ≤ max`.
+#[derive(Debug, Clone)]
+struct BaseTable {
+    max: usize,
+    values: Vec<f64>,
+}
+
+impl BaseTable {
+    /// The table of `scheme` for `graph`, or `None` when the scheme is not
+    /// a count scheme or the table would have more entries than the graph
+    /// has profile→block assignments.
+    fn build(graph: &BlockGraph, scheme: WeightScheme) -> Option<BaseTable> {
+        let max = graph.max_blocks_per_profile();
+        let side = max + 1;
+        let entries = (side as u64).checked_pow(3)?;
+        if entries > graph.total_assignments() {
+            return None;
+        }
+        let num_blocks = graph.num_blocks() as u64;
+        let mut values = Vec::with_capacity(side.pow(3));
+        for a in 0..side {
+            for b in 0..side {
+                for s in 0..side {
+                    values.push(scheme.count_weight(s as u32, a, b, num_blocks)?);
+                }
+            }
+        }
+        Some(BaseTable { max, values })
+    }
+
+    /// The tabulated base weight, `None` outside the table.
+    fn get(&self, shared: u32, blocks_a: usize, blocks_b: usize) -> Option<f64> {
+        let (m, s) = (self.max, shared as usize);
+        (blocks_a <= m && blocks_b <= m && s <= m)
+            .then(|| self.values[(blocks_a * (m + 1) + blocks_b) * (m + 1) + s])
+    }
 }
 
 impl ScoringContext {
@@ -311,21 +368,12 @@ impl ScoringContext {
     /// When `use_entropy` is set but `graph` was built without
     /// [`crate::BlockEntropies`].
     pub fn new(graph: &BlockGraph, scorer: EdgeScorer, use_entropy: bool) -> ScoringContext {
-        Self::check_entropy(graph, use_entropy);
         let (degrees, num_edges) = if scorer.needs_degrees() {
             graph.degrees()
         } else {
             (Vec::new(), 0)
         };
-        ScoringContext {
-            scorer,
-            use_entropy,
-            stats: GlobalStats {
-                num_blocks: graph.num_blocks() as u64,
-                degrees,
-                num_edges,
-            },
-        }
+        Self::with_degrees(graph, scorer, use_entropy, degrees, num_edges)
     }
 
     /// Build a context from a degree vector the caller already computed
@@ -356,6 +404,9 @@ impl ScoringContext {
                 degrees,
                 num_edges,
             },
+            table: scorer
+                .classic()
+                .and_then(|scheme| BaseTable::build(graph, scheme)),
         }
     }
 
@@ -393,7 +444,16 @@ impl ScoringContext {
     ) -> f64 {
         match &self.scorer {
             EdgeScorer::Classic(scheme) => {
-                scheme.weight(a, b, acc, blocks_a, blocks_b, &self.stats, self.use_entropy)
+                match self
+                    .table
+                    .as_ref()
+                    .and_then(|t| t.get(acc.shared_blocks, blocks_a, blocks_b))
+                {
+                    Some(base) => scheme.finish(base, acc, self.use_entropy),
+                    None => {
+                        scheme.weight(a, b, acc, blocks_a, blocks_b, &self.stats, self.use_entropy)
+                    }
+                }
             }
             EdgeScorer::Supervised(model) => {
                 model.score(&self.features(a, b, acc, blocks_a, blocks_b))
@@ -432,6 +492,145 @@ mod tests {
             shared_blocks: shared,
             arcs,
             entropy_sum,
+        }
+    }
+
+    /// A dirty graph of `n` profiles that all sit in the same two blocks,
+    /// with entropies: `|B| = 2`, every profile in 2 blocks, so χ²'s
+    /// `n00 = |B| − a − b + s` goes negative and clamps to 0.
+    fn two_block_graph(n: usize) -> BlockGraph {
+        use sparker_blocking::token_blocking;
+        use sparker_profiles::{Profile, ProfileCollection, SourceId};
+        let coll = ProfileCollection::dirty(
+            (0..n)
+                .map(|i| {
+                    Profile::builder(SourceId(0), i.to_string())
+                        .attr("t", "x y")
+                        .build()
+                })
+                .collect(),
+        );
+        let blocks = token_blocking(&coll);
+        let entropies = crate::BlockEntropies::new(vec![0.3, 0.9]);
+        BlockGraph::new(&blocks, Some(&entropies))
+    }
+
+    /// A dirty graph with a spread of block counts per profile, with
+    /// entropies.
+    fn varied_graph() -> BlockGraph {
+        use sparker_blocking::token_blocking;
+        use sparker_profiles::{Profile, ProfileCollection, SourceId};
+        let coll = ProfileCollection::dirty(
+            (0..60)
+                .map(|i| {
+                    let words: Vec<String> = (0..1 + i % 4)
+                        .map(|k| format!("w{}", (i + 3 * k) % 11))
+                        .collect();
+                    Profile::builder(SourceId(0), i.to_string())
+                        .attr("t", words.join(" "))
+                        .build()
+                })
+                .collect(),
+        );
+        let blocks = token_blocking(&coll);
+        let entropies =
+            crate::BlockEntropies::new((0..blocks.len()).map(|b| 0.2 + b as f64 * 0.07).collect());
+        BlockGraph::new(&blocks, Some(&entropies))
+    }
+
+    const COUNT_SCHEMES: [WeightScheme; 3] = [
+        WeightScheme::Ecbs,
+        WeightScheme::Js,
+        WeightScheme::ChiSquare,
+    ];
+
+    #[test]
+    fn table_entries_bit_equal_the_direct_weight() {
+        for graph in [varied_graph(), two_block_graph(14)] {
+            let m = graph.max_blocks_per_profile();
+            assert!(m >= 2);
+            for scheme in COUNT_SCHEMES {
+                for use_entropy in [false, true] {
+                    let ctx = ScoringContext::new(&graph, EdgeScorer::Classic(scheme), use_entropy);
+                    let table = ctx.table.as_ref().expect("table fits the graph");
+                    assert_eq!((table.max, table.values.len()), (m, (m + 1).pow(3)));
+                    for a in 1..=m {
+                        for b in 1..=m {
+                            for s in 1..=a.min(b) as u32 {
+                                let acc = acc(s, 0.125 * f64::from(s), 0.37 * f64::from(s));
+                                let (pa, pb) = (ProfileId(0), ProfileId(1));
+                                let direct =
+                                    scheme.weight(pa, pb, &acc, a, b, &ctx.stats, use_entropy);
+                                let looked_up = ctx.weigh(pa, pb, &acc, a, b);
+                                assert_eq!(
+                                    looked_up.to_bits(),
+                                    direct.to_bits(),
+                                    "{} entropy={use_entropy} a={a} b={b} s={s}",
+                                    scheme.name()
+                                );
+                            }
+                        }
+                    }
+                    // Outside the table the context falls back to the
+                    // direct path.
+                    assert_eq!(table.get(1, m + 1, 1), None);
+                    let far = acc(1, 0.5, 0.6);
+                    assert_eq!(
+                        ctx.weigh(ProfileId(0), ProfileId(1), &far, m + 3, 1)
+                            .to_bits(),
+                        scheme
+                            .weight(
+                                ProfileId(0),
+                                ProfileId(1),
+                                &far,
+                                m + 3,
+                                1,
+                                &ctx.stats,
+                                use_entropy
+                            )
+                            .to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chi_square_table_clamps_n00() {
+        // |B| = 2, a = b = 2, s = 1: n00 = 2 − 2 − 2 + 1 = −1 clamps to 0,
+        // so the cell is χ² of [[1, 1], [1, 0]] = 1/12 + 1/6 + 1/6 + 1/3.
+        let scorer = EdgeScorer::Classic(WeightScheme::ChiSquare);
+        let ctx = ScoringContext::new(&two_block_graph(14), scorer, false);
+        let cell = ctx.table.as_ref().and_then(|t| t.get(1, 2, 2));
+        let cell = cell.expect("27 entries ≤ 28 assignments");
+        assert!((cell - 0.75).abs() < 1e-12, "{cell}");
+    }
+
+    #[test]
+    fn table_is_skipped_when_it_would_outgrow_the_index() {
+        // Every profile in 2 blocks: the table has 3³ = 27 entries, the
+        // index 2 assignments per profile.
+        let at_limit = two_block_graph(14); // 28 assignments
+        let below = two_block_graph(13); // 26 assignments
+        assert_eq!(at_limit.total_assignments(), 28);
+        assert_eq!(below.total_assignments(), 26);
+        for scheme in COUNT_SCHEMES {
+            let scorer = EdgeScorer::Classic(scheme);
+            assert!(ScoringContext::new(&at_limit, scorer, false)
+                .table
+                .is_some());
+            assert!(ScoringContext::new(&below, scorer, false).table.is_none());
+        }
+        // Non-count schemes and supervised scorers never tabulate.
+        for scorer in [
+            EdgeScorer::Classic(WeightScheme::Cbs),
+            EdgeScorer::Classic(WeightScheme::Arcs),
+            EdgeScorer::Classic(WeightScheme::Ejs),
+            EdgeScorer::Supervised(LinearModel::zero()),
+        ] {
+            assert!(ScoringContext::new(&at_limit, scorer, false)
+                .table
+                .is_none());
         }
     }
 

@@ -5,12 +5,13 @@
 //! the compact block index, materialize one node's neighborhood at a time,
 //! prune locally. [`StreamingMetaBlocking`] is that pass, in two halves:
 //!
-//! * **pass A** (`pass_a_range`) weighs every edge of a node range and
-//!   summarizes it — per-node [`NodeStats`] for the node-centric rules, the
-//!   forward (`node < j`) weight pool for the global ones, node degrees for
-//!   morsel cuts — after which the retention rule is resolved once;
-//! * **pass B** ([`StreamingMetaBlocking::prune_range`]) re-materializes
-//!   each neighborhood of a node range and emits the retained forward
+//! * **pass A** (`pass_a_range`) weighs the edges of a node range and
+//!   summarizes them — per-node [`NodeStats`] over the full neighborhood
+//!   for the node-centric rules, the forward (`node < j`) weight pool for
+//!   the global ones, forward degrees for morsel cuts — after which the
+//!   retention rule is resolved once;
+//! * **pass B** ([`StreamingMetaBlocking::prune_range`]) materializes the
+//!   forward neighborhood of each node of a range and emits its retained
 //!   edges — a pure function of the range, safe to call concurrently in
 //!   any order.
 //!
@@ -31,13 +32,22 @@
 //! node order, so the forward weight pool reaches rule resolution in the
 //! same order (hence the same f64 reduction) on every driver and at every
 //! worker count. Each range's pass-B emissions are already sorted by pair:
-//! nodes ascend, and [`BlockGraph::neighborhood_buffered`] returns
-//! neighbors in ascending id order, so the forward emissions of
+//! nodes ascend, and [`BlockGraph::forward_neighborhood_buffered`] returns
+//! the neighbors `j > node` in ascending id order with accumulators
+//! bit-identical to the full neighborhood's, so the emissions of
 //! consecutive nodes concatenate sorted — any disjoint ascending cover of
 //! `0..num_profiles` yields the same sorted pair list, which is what lets
 //! the fused matcher feed its shards straight into
 //! `SimilarityGraph::from_sorted_shards` without a global re-sort. An
 //! independent naive oracle in the crate's proptests pins every driver.
+//!
+//! ## Forward degrees
+//!
+//! Pass B of a node costs its forward degree, not its degree: on
+//! clean–clean data every second-source node has no forward neighbor and
+//! costs almost nothing. Pass A therefore records forward degrees, and
+//! [`StreamingMetaBlocking::cost_morsels`] cuts pass B's ranges by them;
+//! their sum is the graph's edge count.
 
 use crate::graph::{BlockGraph, NeighborhoodScratch};
 use crate::parallel::{degrees_parallel, morsel_grain};
@@ -64,7 +74,7 @@ pub struct StreamingMetaBlocking<G = Arc<BlockGraph>> {
     /// (WEP/CEP), whose [`RetentionRule::keeps`] ignores them.
     node_stats: Vec<NodeStats>,
     rule: RetentionRule,
-    /// Node degrees observed during pass A, for degree-cost morsel cuts.
+    /// Forward degrees observed during pass A, for degree-cost morsel cuts.
     degrees: Vec<u32>,
 }
 
@@ -108,9 +118,11 @@ fn uses_global_rule(pruning: PruningStrategy) -> bool {
 /// reusable `weights` buffer.
 ///
 /// The global rules (WEP/CEP) never read [`NodeStats`], so for them
-/// (`global`) only the forward edges are weighed — each edge once — and
-/// collected into the weight pool; the node-centric rules weigh the whole
-/// neighborhood and keep its [`NodeStats`] summary.
+/// (`global`) only the forward neighborhood is materialized — each edge
+/// weighed once — and its weights collected into the pool; the
+/// node-centric rules weigh the whole neighborhood, in neighbor order, and
+/// keep its [`NodeStats`] summary. Either way the recorded degree is the
+/// node's forward degree, pass B's cost.
 fn pass_a_range(
     graph: &BlockGraph,
     scoring: &ScoringContext,
@@ -124,20 +136,19 @@ fn pass_a_range(
     for i in nodes {
         let node = ProfileId(i);
         let blocks_node = graph.blocks_of(node).len();
-        let neighborhood = graph.neighborhood_buffered(node, scratch);
-        out.degrees.push(neighborhood.len() as u32);
-        let sink = if global {
-            &mut out.forward
-        } else {
-            weights.clear();
-            &mut *weights
+        let weigh = |&(j, ref acc): &(ProfileId, _)| {
+            scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len())
         };
-        for &(j, ref acc) in neighborhood {
-            if !global || node < j {
-                sink.push(scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len()));
-            }
-        }
-        if !global {
+        if global {
+            let forward = graph.forward_neighborhood_buffered(node, scratch);
+            out.degrees.push(forward.len() as u32);
+            out.forward.extend(forward.iter().map(weigh));
+        } else {
+            let neighborhood = graph.neighborhood_buffered(node, scratch);
+            let backward = neighborhood.partition_point(|&(j, _)| j < node);
+            out.degrees.push((neighborhood.len() - backward) as u32);
+            weights.clear();
+            weights.extend(neighborhood.iter().map(weigh));
             out.node_stats.push(NodeStats::from_weights(weights, cnp_k));
         }
     }
@@ -238,10 +249,10 @@ impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
         self.graph.num_profiles()
     }
 
-    /// Total forward edges observed in pass A (Σ degree / 2) — an upper
-    /// bound on emitted pairs, used to size fused channel payloads.
+    /// Total edges observed in pass A (Σ forward degree) — an upper bound
+    /// on emitted pairs, used to size fused channel payloads.
     pub fn total_edges(&self) -> u64 {
-        self.degrees.iter().map(|&d| u64::from(d)).sum::<u64>() / 2
+        self.degrees.iter().map(|&d| u64::from(d)).sum()
     }
 
     /// A reusable neighborhood buffer for [`StreamingMetaBlocking::prune_range`].
@@ -249,11 +260,11 @@ impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
         self.graph.scratch()
     }
 
-    /// Cut `0..num_nodes` into contiguous ranges of roughly equal *degree*
-    /// cost (degree + 1 per node, so isolated nodes still advance), about
-    /// `target_tasks` of them. Real blocking graphs are power-law skewed,
-    /// so equal-*count* ranges would strand a hub-heavy slice on one
-    /// worker. Boundaries are schedule-only: concatenating
+    /// Cut `0..num_nodes` into contiguous ranges of roughly equal pass-B
+    /// cost (forward degree + 1 per node, so nodes without forward edges
+    /// still advance), about `target_tasks` of them. Real blocking graphs
+    /// are power-law skewed, so equal-*count* ranges would strand a
+    /// hub-heavy slice on one worker. Boundaries are schedule-only: concatenating
     /// [`StreamingMetaBlocking::prune_range`] over any disjoint ascending
     /// cover yields the same pairs.
     pub fn cost_morsels(&self, target_tasks: usize) -> Vec<Range<u32>> {
@@ -280,8 +291,8 @@ impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
         cuts
     }
 
-    /// Pass B over a contiguous node range: re-materialize each node's
-    /// neighborhood, weigh its forward (`node < j`) edges and apply the
+    /// Pass B over a contiguous node range: materialize each node's
+    /// forward (`node < j`) neighborhood, weigh its edges and apply the
     /// resolved retention rule. Output is sorted by pair (see the module
     /// docs); disjoint ranges are independent, so fused producers call
     /// this concurrently.
@@ -295,10 +306,7 @@ impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
         for i in range {
             let node = ProfileId(i);
             let blocks_node = self.graph.blocks_of(node).len();
-            for &(j, ref acc) in self.graph.neighborhood_buffered(node, scratch) {
-                if node >= j {
-                    continue;
-                }
+            for &(j, ref acc) in self.graph.forward_neighborhood_buffered(node, scratch) {
                 let w =
                     self.scoring
                         .weigh(node, j, acc, blocks_node, self.graph.blocks_of(j).len());
@@ -325,7 +333,7 @@ impl<G: Deref<Target = BlockGraph>> StreamingMetaBlocking<G> {
     /// `cost_morsels(workers × 32)`, one dynamically claimed task per
     /// range with the worker slot's reusable scratch, concatenated in
     /// node order — the same sorted pairs as [`StreamingMetaBlocking::prune_all`].
-    pub(crate) fn prune_pool(&self, ctx: &Context) -> Vec<(Pair, f64)>
+    pub fn prune_pool(&self, ctx: &Context) -> Vec<(Pair, f64)>
     where
         G: Sync,
     {
@@ -514,6 +522,40 @@ mod tests {
                 expect = r.end;
             }
             assert_eq!(expect, stream.num_nodes() as u32);
+        }
+    }
+
+    #[test]
+    fn pass_a_records_forward_degrees_for_every_rule() {
+        let side = |source: u8, n: usize| -> Vec<Profile> {
+            (0..n)
+                .map(|i| {
+                    Profile::builder(SourceId(source), format!("{source}-{i}"))
+                        .attr(
+                            "name",
+                            format!("tok{} tok{}", i % 5, (i + source as usize) % 7),
+                        )
+                        .build()
+                })
+                .collect()
+        };
+        let clean = ProfileCollection::clean_clean(side(0, 20), side(1, 24));
+        for coll in [skewed_collection(50), clean] {
+            let graph = Arc::new(BlockGraph::new(&token_blocking(&coll), None));
+            let (_, edges) = graph.degrees();
+            let ctx = Context::new(2);
+            for pruning in ALL_PRUNINGS {
+                let config = MetaBlockingConfig {
+                    pruning,
+                    ..MetaBlockingConfig::default()
+                };
+                let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
+                assert_eq!(stream.total_edges(), edges, "{}", pruning.name());
+                if coll.kind() == sparker_profiles::ErKind::CleanClean {
+                    // Second-source nodes own no forward edge.
+                    assert!(stream.degrees[20..].iter().all(|&d| d == 0));
+                }
+            }
         }
     }
 

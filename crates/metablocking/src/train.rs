@@ -130,10 +130,7 @@ pub fn train_supervised(
     for i in 0..graph.num_profiles() {
         let node = ProfileId(i as u32);
         let blocks_node = graph.blocks_of(node).len();
-        for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
-            if node >= j {
-                continue;
-            }
+        for &(j, ref acc) in graph.forward_neighborhood_buffered(node, &mut scratch) {
             let f = scoring.features(node, j, acc, blocks_node, graph.blocks_of(j).len());
             if truth.contains(&Pair::new(node, j)) {
                 pos.offer(f, &mut rng);

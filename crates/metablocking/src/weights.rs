@@ -103,33 +103,64 @@ impl WeightScheme {
                 }
                 acc.arcs
             }
-            WeightScheme::Ecbs => {
-                let nb = stats.num_blocks.max(1) as f64;
-                shared
-                    * (nb / (blocks_a.max(1)) as f64).ln().max(0.0)
-                    * (nb / (blocks_b.max(1)) as f64).ln().max(0.0)
-            }
-            WeightScheme::Js => shared / (blocks_a as f64 + blocks_b as f64 - shared),
+            WeightScheme::Ecbs | WeightScheme::Js | WeightScheme::ChiSquare => self
+                .count_weight(acc.shared_blocks, blocks_a, blocks_b, stats.num_blocks)
+                .expect("ECBS, JS and χ² are count schemes"),
             WeightScheme::Ejs => {
-                let js = shared / (blocks_a as f64 + blocks_b as f64 - shared);
+                let js = WeightScheme::Js
+                    .count_weight(acc.shared_blocks, blocks_a, blocks_b, stats.num_blocks)
+                    .expect("JS is a count scheme");
                 let e = stats.num_edges.max(1) as f64;
                 let va = stats.degrees[a.index()].max(1) as f64;
                 let vb = stats.degrees[b.index()].max(1) as f64;
                 js * (e / va).ln().max(0.0) * (e / vb).ln().max(0.0)
             }
+        };
+        self.finish(base, acc, use_entropy)
+    }
+
+    /// The integer-input base weight of the *count schemes* — ECBS, JS and
+    /// χ², whose weight before entropy re-weighting depends only on the
+    /// shared block count, both endpoints' block counts and the total
+    /// block count. `None` for the other schemes. The scorer tabulates
+    /// this function ([`crate::ScoringContext`]), so table and direct path
+    /// share one formula.
+    pub(crate) fn count_weight(
+        &self,
+        shared: u32,
+        blocks_a: usize,
+        blocks_b: usize,
+        num_blocks: u64,
+    ) -> Option<f64> {
+        let shared = shared as f64;
+        Some(match self {
+            WeightScheme::Ecbs => {
+                let nb = num_blocks.max(1) as f64;
+                shared
+                    * (nb / (blocks_a.max(1)) as f64).ln().max(0.0)
+                    * (nb / (blocks_b.max(1)) as f64).ln().max(0.0)
+            }
+            WeightScheme::Js => shared / (blocks_a as f64 + blocks_b as f64 - shared),
             WeightScheme::ChiSquare => {
                 // 2×2 contingency table over blocks: does co-occurrence
                 // exceed what the two profiles' block counts predict?
-                let n = stats.num_blocks.max(1) as f64;
+                let n = num_blocks.max(1) as f64;
                 let n11 = shared;
                 let n10 = blocks_a as f64 - shared;
                 let n01 = blocks_b as f64 - shared;
                 let n00 = (n - blocks_a as f64 - blocks_b as f64 + shared).max(0.0);
                 chi_square_2x2(n11, n10, n01, n00)
             }
-        };
+            WeightScheme::Cbs | WeightScheme::Arcs | WeightScheme::Ejs => return None,
+        })
+    }
+
+    /// Entropy finish of a non-additive scheme's `base` weight: × the mean
+    /// entropy of the shared blocks when `use_entropy`, unchanged
+    /// otherwise.
+    pub(crate) fn finish(&self, base: f64, acc: &EdgeAccumulator, use_entropy: bool) -> f64 {
         if use_entropy && !self.entropy_is_additive() {
-            base * (acc.entropy_sum / shared)
+            base * (acc.entropy_sum / acc.shared_blocks as f64)
         } else {
             base
         }

@@ -3,7 +3,7 @@
 //! independent naive oracle, weight invariants.
 
 use proptest::prelude::*;
-use sparker_blocking::token_blocking;
+use sparker_blocking::{token_blocking, BlockCollection};
 use sparker_dataflow::Context;
 use sparker_metablocking::{
     derived_cnp_k, meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeAccumulator,
@@ -11,7 +11,7 @@ use sparker_metablocking::{
     ScoringContext, StreamingMetaBlocking, WeightScheme, NUM_FEATURES,
 };
 use sparker_profiles::{Pair, Profile, ProfileCollection, ProfileId, SourceId};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 fn collection_strategy() -> impl Strategy<Value = ProfileCollection> {
@@ -35,6 +35,32 @@ fn collection_strategy() -> impl Strategy<Value = ProfileCollection> {
                 .collect(),
         )
     })
+}
+
+/// Clean–clean collections: two sources over the same small vocabulary,
+/// so cross-source pairs co-occur in one or more blocks.
+fn clean_clean_strategy() -> impl Strategy<Value = ProfileCollection> {
+    let profile = prop::collection::vec(0usize..10, 1..5).prop_map(|words| {
+        words
+            .into_iter()
+            .map(|w| format!("tok{w}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    });
+    let side = |source: u8| {
+        prop::collection::vec(profile.clone(), 1..12).prop_map(move |values| {
+            values
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    Profile::builder(SourceId(source), format!("{source}-{i}"))
+                        .attr("text", v)
+                        .build()
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    (side(0), side(1)).prop_map(|(a, b)| ProfileCollection::clean_clean(a, b))
 }
 
 /// Collections with a contiguous Zipfian hub prefix: the first profiles
@@ -67,35 +93,92 @@ fn skewed_collection_strategy() -> impl Strategy<Value = ProfileCollection> {
         })
 }
 
+/// A blocking graph together with the block collection and entropies it
+/// was built from, so the oracle can rebuild neighborhoods on its own.
+struct Fixture {
+    blocks: BlockCollection,
+    entropies: Option<BlockEntropies>,
+    graph: Arc<BlockGraph>,
+}
+
+/// The fixture of `coll`, with varied per-block entropies when
+/// `use_entropy` asks for them.
+fn fixture(coll: &ProfileCollection, use_entropy: bool) -> Fixture {
+    let blocks = token_blocking(coll);
+    let entropies = use_entropy.then(|| {
+        BlockEntropies::new(
+            (0..blocks.len())
+                .map(|b| 0.1 + (b % 5) as f64 * 0.3)
+                .collect(),
+        )
+    });
+    let graph = Arc::new(BlockGraph::new(&blocks, entropies.as_ref()));
+    Fixture {
+        blocks,
+        entropies,
+        graph,
+    }
+}
+
 /// Naive reference meta-blocking, written independently of the node-pass
-/// kernel: an owned neighborhood `Vec` and a fresh weights `Vec` per node,
-/// a full descending sort for the CNP k-th weight, the global weight pool
-/// collected alongside the per-node statistics, and a separate pass B.
-/// It shares only the per-edge weight function with the crate.
-fn oracle(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
+/// kernel. Neighborhoods come straight from the block collection: every
+/// comparable pair of every block, in both directions, is accumulated into
+/// a `BTreeMap` in ascending block order, so each node's neighbors come
+/// out ascending with the sums taken in the kernel's order. Then an owned
+/// weights `Vec` per node, a full descending sort for the CNP k-th weight,
+/// the global weight pool collected alongside the per-node statistics,
+/// and a separate pass B. It shares only the per-edge weight function
+/// (through the graph's scoring context) with the crate.
+fn oracle(fixture: &Fixture, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
+    let Fixture {
+        blocks,
+        entropies,
+        graph,
+    } = fixture;
+    let kind = blocks.kind();
+    let n = graph.num_profiles();
+    let mut edges: BTreeMap<(ProfileId, ProfileId), EdgeAccumulator> = BTreeMap::new();
+    let mut block_counts = vec![0usize; n];
+    for (b, block) in blocks.blocks().iter().enumerate() {
+        let comparisons = block.comparisons(kind).max(1) as f64;
+        let entropy = entropies.as_ref().map_or(1.0, |e| e.as_slice()[b]);
+        for pair in block.pairs(kind) {
+            for key in [(pair.first, pair.second), (pair.second, pair.first)] {
+                let acc = edges.entry(key).or_default();
+                acc.shared_blocks += 1;
+                acc.arcs += 1.0 / comparisons;
+                acc.entropy_sum += entropy;
+            }
+        }
+        for p in block.all_members() {
+            block_counts[p.index()] += 1;
+        }
+    }
+    let mut neighborhoods: Vec<Vec<(ProfileId, EdgeAccumulator)>> = vec![Vec::new(); n];
+    for ((i, j), acc) in edges {
+        neighborhoods[i.index()].push((j, acc));
+    }
+
     let scoring = config.scoring_context(graph);
     let descending = |a: &f64, b: &f64| b.partial_cmp(a).expect("weights are finite");
     let weigh = |node: ProfileId, j: ProfileId, acc: &EdgeAccumulator| {
-        let (bn, bj) = (graph.blocks_of(node).len(), graph.blocks_of(j).len());
+        let (bn, bj) = (block_counts[node.index()], block_counts[j.index()]);
         scoring.weigh(node, j, acc, bn, bj)
     };
-    let n = graph.num_profiles();
-    let mut scratch = graph.scratch();
 
     // Pass A: every node's statistics, every edge's weight once (i < j).
     let cnp_k = match config.pruning {
         PruningStrategy::Cnp { k, .. } => {
-            k.unwrap_or_else(|| derived_cnp_k(graph.total_assignments(), n))
+            k.unwrap_or_else(|| derived_cnp_k(blocks.total_assignments(), n))
         }
         _ => 1,
     };
     let mut stats = Vec::with_capacity(n);
     let mut all_weights = Vec::new();
-    for i in 0..n {
+    for (i, neighborhood) in neighborhoods.iter().enumerate() {
         let node = ProfileId(i as u32);
-        let neighborhood = graph.neighborhood_with(node, &mut scratch);
         let mut weights: Vec<f64> = Vec::with_capacity(neighborhood.len());
-        for (j, acc) in &neighborhood {
+        for (j, acc) in neighborhood {
             let w = weigh(node, *j, acc);
             weights.push(w);
             if node < *j {
@@ -131,7 +214,7 @@ fn oracle(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
             RetentionRule::GlobalThreshold(factor * mean)
         }
         PruningStrategy::Cep { retain } => {
-            let budget = retain.unwrap_or(graph.total_assignments() / 2).max(1) as usize;
+            let budget = retain.unwrap_or(blocks.total_assignments() / 2).max(1) as usize;
             all_weights.sort_by(descending);
             let threshold = all_weights
                 .get((budget.min(all_weights.len())).saturating_sub(1))
@@ -146,15 +229,15 @@ fn oracle(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
         PruningStrategy::Blast { ratio } => RetentionRule::BlastMaxima { ratio },
     };
 
-    // Pass B: re-materialize, keep each retained edge once.
+    // Pass B: walk the neighborhoods again, keep each retained edge once.
     let mut retained = Vec::new();
-    for i in 0..n {
+    for (i, neighborhood) in neighborhoods.iter().enumerate() {
         let node = ProfileId(i as u32);
-        for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
-            if node < j {
-                let w = weigh(node, j, &acc);
+        for (j, acc) in neighborhood {
+            if node < *j {
+                let w = weigh(node, *j, acc);
                 if rule.keeps(w, &stats[i], &stats[j.index()]) {
-                    retained.push((Pair::new(node, j), w));
+                    retained.push((Pair::new(node, *j), w));
                 }
             }
         }
@@ -167,13 +250,15 @@ fn oracle(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
 /// `meta_blocking_graph`, `parallel::meta_blocking` at each worker count,
 /// and the concatenation of `prune_range` over a `cost_morsels` cover.
 fn check_against_oracle(
-    graph: &Arc<BlockGraph>,
+    fixture: &Fixture,
     config: &MetaBlockingConfig,
     workers: &[usize],
 ) -> Result<(), String> {
-    let want = oracle(graph, config);
+    let graph = &fixture.graph;
+    let want = oracle(fixture, config);
     let label = format!(
-        "{}+{}{}",
+        "{:?} {}+{}{}",
+        graph.kind(),
         config.scorer.name(),
         config.pruning.name(),
         if config.use_entropy { "+entropy" } else { "" }
@@ -204,20 +289,6 @@ fn check_against_oracle(
         }
     }
     Ok(())
-}
-
-/// The block graph of `coll`, with varied per-block entropies when
-/// `use_entropy` asks for them.
-fn graph_of(coll: &ProfileCollection, use_entropy: bool) -> Arc<BlockGraph> {
-    let blocks = token_blocking(coll);
-    let entropies = use_entropy.then(|| {
-        BlockEntropies::new(
-            (0..blocks.len())
-                .map(|b| 0.1 + (b % 5) as f64 * 0.3)
-                .collect(),
-        )
-    });
-    Arc::new(BlockGraph::new(&blocks, entropies.as_ref()))
 }
 
 /// A supervised model over shared blocks, Jaccard and the max-degree
@@ -292,12 +363,14 @@ proptest! {
 
     #[test]
     fn parallel_equals_sequential(
-        coll in collection_strategy(),
+        coll in prop_oneof![collection_strategy(), clean_clean_strategy()],
         config in oracle_config_strategy(),
         workers in prop::sample::select(vec![1usize, 2, 8]),
     ) {
-        let graph = graph_of(&coll, config.use_entropy);
-        check_against_oracle(&graph, &config, &[workers]).map_err(TestCaseError::fail)?;
+        // Dirty and clean–clean graphs: on the latter every second-source
+        // node has an empty forward neighborhood.
+        let fixture = fixture(&coll, config.use_entropy);
+        check_against_oracle(&fixture, &config, &[workers]).map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -308,8 +381,8 @@ proptest! {
         // Hub-heavy graphs as well as uniform ones: the degree-cut pass-B
         // morsels and the pass-A morsels must not change a bit at any
         // worker count.
-        let graph = graph_of(&coll, config.use_entropy);
-        check_against_oracle(&graph, &config, &[1, 2, 8]).map_err(TestCaseError::fail)?;
+        let fixture = fixture(&coll, config.use_entropy);
+        check_against_oracle(&fixture, &config, &[1, 2, 8]).map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -450,23 +523,37 @@ proptest! {
 /// Deterministic exhaustive companion to `scheduled_parallel_equals_sequential`:
 /// every scorer (each classic scheme and a supervised model) × pruning
 /// strategy, with and without entropy weighting, at 1/2/8 workers, on one
-/// fixed hub-skewed and one fixed uniform collection.
+/// fixed hub-skewed and one fixed uniform dirty collection and one fixed
+/// clean–clean collection.
 #[test]
 fn full_matrix_matches_oracle_at_1_2_8_workers() {
+    let text = |i: usize, skewed: bool| {
+        let mut text = format!("tok{} tok{}", i % 9, (i * 7 + 3) % 9);
+        if skewed && i < 8 {
+            text.push_str(" hub0 hub1");
+        }
+        text
+    };
     let make = |skewed: bool| -> ProfileCollection {
         let profiles = (0..60)
             .map(|i| {
-                let mut text = format!("tok{} tok{}", i % 9, (i * 7 + 3) % 9);
-                if skewed && i < 8 {
-                    text.push_str(" hub0 hub1");
-                }
                 Profile::builder(SourceId(0), i.to_string())
-                    .attr("text", text)
+                    .attr("text", text(i, skewed))
                     .build()
             })
             .collect();
         ProfileCollection::dirty(profiles)
     };
+    let side = |source: u8, n: usize| -> Vec<Profile> {
+        (0..n)
+            .map(|i| {
+                Profile::builder(SourceId(source), format!("{source}-{i}"))
+                    .attr("text", text(i * (2 + source as usize), i < 4))
+                    .build()
+            })
+            .collect()
+    };
+    let clean_clean = ProfileCollection::clean_clean(side(0, 30), side(1, 35));
     let prunings = [
         PruningStrategy::Wep { factor: 1.0 },
         PruningStrategy::Cep { retain: Some(25) },
@@ -491,9 +578,9 @@ fn full_matrix_matches_oracle_at_1_2_8_workers() {
             0.4, 2.5, -0.01, -1.0,
         ))]);
     let scorers: Vec<EdgeScorer> = scorers.collect();
-    for coll in [make(true), make(false)] {
+    for coll in [make(true), make(false), clean_clean] {
         for use_entropy in [false, true] {
-            let graph = graph_of(&coll, use_entropy);
+            let fixture = fixture(&coll, use_entropy);
             for &scorer in &scorers {
                 for pruning in prunings {
                     let config = MetaBlockingConfig {
@@ -501,7 +588,7 @@ fn full_matrix_matches_oracle_at_1_2_8_workers() {
                         pruning,
                         use_entropy,
                     };
-                    if let Err(e) = check_against_oracle(&graph, &config, &[1, 2, 8]) {
+                    if let Err(e) = check_against_oracle(&fixture, &config, &[1, 2, 8]) {
                         panic!("{e}");
                     }
                 }

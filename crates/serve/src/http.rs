@@ -22,7 +22,8 @@
 //!   drain; the accept loop exits).
 //!
 //! Malformed requests/bodies get 400, unknown routes/ids 404, bodies over
-//! 8 MiB 413 — always with a JSON `{"error": "..."}` body.
+//! 8 MiB 413, a request or header line over 8 KiB or more than 100 header
+//! lines 431 — always with a JSON `{"error": "..."}` body.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -181,6 +182,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// allocated, so a client header cannot make the server reserve memory.
 const MAX_BODY_BYTES: usize = 8 << 20;
 
+/// Longest request line or header line the server reads (8 KiB, line
+/// terminator included). A longer line is answered with 431 as soon as
+/// its first 8 KiB + 1 bytes are in, so an endless line cannot grow the
+/// server's memory.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines a request may carry; one more is answered with 431.
+const MAX_HEADER_LINES: usize = 100;
+
 struct Request {
     method: String,
     path: String,
@@ -193,19 +203,28 @@ enum Reply {
     NotFound(String),
 }
 
+/// A request the server refuses to read further: the status and message
+/// it is answered with.
+struct Refusal {
+    status: u16,
+    message: String,
+}
+
+impl From<io::Error> for Refusal {
+    fn from(e: io::Error) -> Self {
+        Refusal {
+            status: 400,
+            message: format!("malformed request: {e}"),
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
         Ok(r) => r,
-        Err(e) if e.kind() == io::ErrorKind::FileTooLarge => {
-            return write_reply(&stream, 413, &error_json(&e.to_string()));
-        }
-        Err(e) => {
-            return write_reply(
-                &stream,
-                400,
-                &error_json(&format!("malformed request: {e}")),
-            );
+        Err(refusal) => {
+            return write_reply(&stream, refusal.status, &error_json(&refusal.message));
         }
     };
     let reply = route(&request, shared);
@@ -216,9 +235,25 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+/// Read one line of at most [`MAX_LINE_BYTES`] (empty at end of stream);
+/// a longer line is refused with 431 before more of it is buffered.
+fn read_line_capped(reader: &mut BufReader<TcpStream>) -> Result<String, Refusal> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if line.len() > MAX_LINE_BYTES {
+        return Err(Refusal {
+            status: 431,
+            message: format!("request line or header line exceeds the {MAX_LINE_BYTES}-byte limit"),
+        });
+    }
+    String::from_utf8(line)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not UTF-8").into())
+}
+
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Refusal> {
+    let line = read_line_capped(reader)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -229,12 +264,19 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing request path"))?
         .to_string();
     let mut content_length = 0usize;
+    let mut header_lines = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_line_capped(reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADER_LINES {
+            return Err(Refusal {
+                status: 431,
+                message: format!("request has more than {MAX_HEADER_LINES} header lines"),
+            });
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -245,12 +287,12 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::FileTooLarge,
-            format!(
+        return Err(Refusal {
+            status: 413,
+            message: format!(
                 "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             ),
-        ));
+        });
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -425,6 +467,7 @@ fn write_reply(mut stream: &TcpStream, status: u16, body: &str) -> io::Result<()
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let response = format!(

@@ -3,9 +3,10 @@
 //! graceful shutdown with no dropped in-flight requests.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use sparker_core::PipelineConfig;
 use sparker_profiles::{parse_json, ErKind, JsonValue};
@@ -169,6 +170,65 @@ fn oversized_content_length_gets_413_without_allocating() {
     let (status, stats) = get_json(addr, "/stats");
     assert_eq!(status, 200);
     assert_eq!(field_u64(&stats, "profiles"), 0);
+}
+
+/// Send `raw` on a fresh connection and return whatever response bytes
+/// arrive before the server closes it. The server may close before it has
+/// read all of `raw`, so send and read errors end the exchange instead of
+/// failing it.
+fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let _ = stream.write_all(raw);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        response.extend_from_slice(&chunk[..n]);
+    }
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+#[test]
+fn oversized_header_lines_get_431_and_the_server_keeps_answering() {
+    let handle = boot(2);
+    let addr = handle.addr();
+    let long = "a".repeat(64 << 10);
+    let many_headers: String = (0..101).map(|i| format!("X-Filler-{i}: y\r\n")).collect();
+    for raw in [
+        // An over-long request line…
+        format!("GET /{long} HTTP/1.1\r\nHost: localhost\r\n\r\n"),
+        // …an over-long header line, never terminated…
+        format!("GET /stats HTTP/1.1\r\nX-Long: {long}"),
+        // …and one header line too many.
+        format!("GET /stats HTTP/1.1\r\n{many_headers}\r\n"),
+    ] {
+        let response = raw_exchange(addr, raw.as_bytes());
+        assert!(
+            response.starts_with("HTTP/1.1 431 "),
+            "expected 431, got {:?}",
+            &response[..response.len().min(80)]
+        );
+        let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        let JsonValue::Object(map) = parse_json(body).expect("error body is well-formed JSON")
+        else {
+            panic!("error body must be an object")
+        };
+        assert!(map.contains_key("error"), "error body names the problem");
+        // The server is still up and answering.
+        let (status, stats) = get_json(addr, "/stats");
+        assert_eq!(status, 200);
+        assert_eq!(field_u64(&stats, "profiles"), 0);
+    }
+    // 100 header lines are still accepted.
+    let hundred: String = (0..99).map(|i| format!("X-Filler-{i}: y\r\n")).collect();
+    let response = raw_exchange(
+        addr,
+        format!("GET /stats HTTP/1.1\r\nHost: localhost\r\n{hundred}\r\n").as_bytes(),
+    );
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response:?}");
 }
 
 #[test]

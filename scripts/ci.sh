@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, release build, the workspace and benchmark
 # test suites, clippy and rustdoc with warnings denied, bench smoke,
-# end-to-end pipeline smoke, a CLI backend-matrix smoke, the
-# supervised-scorer train/run/export smoke and the online-serve smoke. Run
-# from the repo root: scripts/ci.sh
+# end-to-end pipeline smoke, CLI backend-matrix smokes (default and Blast
+# configurations), the supervised-scorer train/run/export smoke and the
+# online-serve smoke. Run from the repo root: scripts/ci.sh
 #
 # Scale tiers (environment-gated):
 #   BENCH_SMOKE=1       Bench binaries run each body once with no warmup
@@ -67,6 +67,27 @@ for backend in sequential dataflow pool fused; do
     exit 1
   fi
 done
+
+# Blast backend gate: the clean–clean demo under the Blast configuration
+# (loose schema, keyed blocking, entropy-weighted χ² meta-blocking with
+# local-maxima pruning) must report identical result counts on all four
+# backends.
+echo "==> sparker --demo --config <blast> --backend {sequential,dataflow,pool,fused}"
+blast_conf="$(mktemp --suffix .conf)"
+cargo run -q --release -p sparker-bench --bin blast_config > "${blast_conf}"
+blast_counts=""
+for backend in sequential dataflow pool fused; do
+  line="$(cargo run -q --release --bin sparker -- --demo --config "${blast_conf}" \
+    --backend "${backend}" --workers 2 | grep '^result counts:')"
+  echo "    ${backend}: ${line#result counts: }"
+  if [ -z "${blast_counts}" ]; then
+    blast_counts="${line}"
+  elif [ "${blast_counts}" != "${line}" ]; then
+    echo "Blast backend ${backend} disagrees: '${line}' != '${blast_counts}'" >&2
+    exit 1
+  fi
+done
+rm -f "${blast_conf}"
 
 # Matcher-equivalence smoke: the filter–verify cascade (default) and the
 # naive score-everything matcher (SPARKER_NAIVE_MATCHER=1) must report

@@ -1,7 +1,9 @@
 //! Criterion benches for the end-to-end pipeline (experiment E9's cost
 //! side): full runs under the schema-agnostic and Blast configurations,
 //! the per-module split, and the `pipeline_10k` worker-scaling group for
-//! the pool-parallel pipeline (matcher + clusterer on the persistent pool).
+//! the pool-parallel pipeline (matcher + clusterer on the persistent pool),
+//! plus `profiles/load-jsonl`, the JSON-lines loading that precedes a CLI
+//! run.
 //!
 //! Run with `BENCH_JSON=BENCH_pipeline.json cargo bench -p sparker-bench
 //! --bench pipeline` to dump every measurement as JSON.
@@ -18,7 +20,9 @@ use sparker_core::{
     BlockingConfig, ExecutionBackend, Pipeline, PipelineConfig, PipelineReport, PipelineStage,
 };
 use sparker_dataflow::{Context, MetricsSnapshot};
+use sparker_datasets::{export_dataset, ExportFormat, Preset};
 use sparker_matching::{CandidateGraph, ScoringMode, SimilarityMeasure, ThresholdMatcher};
+use sparker_profiles::{profiles_from_json_lines, SourceId};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +58,31 @@ fn bench_blocker_only(c: &mut Criterion) {
 }
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// `profiles/load-jsonl`: the JSON-lines loader on the `dirty_10k` and
+/// `dirty_100k` presets as the exporter writes them, from text in memory to
+/// profiles (reading the file is not timed).
+fn bench_load_jsonl(c: &mut Criterion) {
+    let mut group = c.benchmark_group("profiles/load-jsonl");
+    group.sample_size(10);
+    for name in ["dirty_10k", "dirty_100k"] {
+        let ds = Preset::by_name(name).expect("known preset").generate();
+        let dir = std::env::temp_dir().join(format!(
+            "sparker-bench-load-jsonl-{}-{name}",
+            std::process::id()
+        ));
+        let files = export_dataset(&ds, &dir, ExportFormat::JsonLines).expect("export preset");
+        let text = std::fs::read_to_string(&files.sources[0]).expect("read exported preset");
+        std::fs::remove_dir_all(&dir).ok();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &text, |b, text| {
+            b.iter(|| {
+                profiles_from_json_lines(black_box(text), SourceId(0), "id")
+                    .expect("exported presets load")
+            })
+        });
+    }
+    group.finish();
+}
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty())
@@ -437,6 +466,7 @@ criterion_group!(
     bench_blocker_only,
     bench_pipeline_scaling,
     bench_matcher_kernels,
-    bench_backend_reports
+    bench_backend_reports,
+    bench_load_jsonl
 );
 criterion_main!(benches);

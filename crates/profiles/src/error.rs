@@ -13,8 +13,14 @@ pub enum Error {
     Io(std::io::Error),
     /// Malformed CSV input (message, 1-based line number).
     Csv { message: String, line: usize },
-    /// Malformed JSON input (message, byte offset).
-    Json { message: String, offset: usize },
+    /// Malformed JSON input: the message, the byte offset of the fault
+    /// and, for JSON-lines input, the 1-based line it is on (the offset is
+    /// then within the whole file).
+    Json {
+        message: String,
+        offset: usize,
+        line: Option<usize>,
+    },
     /// A ground-truth record references an unknown original id.
     UnknownOriginalId { source: u8, original_id: String },
 }
@@ -24,9 +30,16 @@ impl fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "io error: {e}"),
             Error::Csv { message, line } => write!(f, "csv error at line {line}: {message}"),
-            Error::Json { message, offset } => {
-                write!(f, "json error at offset {offset}: {message}")
-            }
+            Error::Json {
+                message,
+                offset,
+                line: None,
+            } => write!(f, "json error at offset {offset}: {message}"),
+            Error::Json {
+                message,
+                offset,
+                line: Some(line),
+            } => write!(f, "json error at line {line} (byte {offset}): {message}"),
             Error::UnknownOriginalId {
                 source,
                 original_id,
@@ -71,6 +84,21 @@ mod tests {
         assert!(e.to_string().contains("abc"));
         let e: Error = std::io::Error::new(std::io::ErrorKind::NotFound, "nope").into();
         assert!(e.to_string().contains("nope"));
+        let e = Error::Json {
+            message: "expected ':'".into(),
+            offset: 7,
+            line: None,
+        };
+        assert_eq!(e.to_string(), "json error at offset 7: expected ':'");
+        let e = Error::Json {
+            message: "expected ':'".into(),
+            offset: 57,
+            line: Some(2),
+        };
+        assert_eq!(
+            e.to_string(),
+            "json error at line 2 (byte 57): expected ':'"
+        );
     }
 
     #[test]
@@ -81,6 +109,7 @@ mod tests {
         let e = Error::Json {
             message: "bad".into(),
             offset: 0,
+            line: None,
         };
         assert!(e.source().is_none());
     }

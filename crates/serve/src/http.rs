@@ -21,16 +21,19 @@
 //! * `POST /shutdown` — begin graceful shutdown (in-flight requests
 //!   drain; the accept loop exits).
 //!
-//! Malformed requests/bodies get 400, unknown routes/ids 404, bodies over
-//! 8 MiB 413, a request or header line over 8 KiB or more than 100 header
-//! lines 431 — always with a JSON `{"error": "..."}` body.
+//! Malformed requests/bodies get 400, unknown routes/ids 404, a request
+//! that stalls for 5 s 408, bodies over 8 MiB 413, a request or header line
+//! over 8 KiB or more than 100 header lines 431, and any request after a
+//! panic left the resolver half-updated 500 — always with a JSON
+//! `{"error": "..."}` body.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use sparker_profiles::{parse_json, JsonValue, Profile, SourceId};
 
@@ -52,6 +55,47 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
     }
+
+    /// The gauge. Only whole counter updates happen under its lock, so a
+    /// poisoned lock still guards consistent counts and is recovered.
+    fn gauge(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.gauge.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for a gauge change (recovering a poisoned lock, as [`Self::gauge`]).
+    fn wait_gauge<'a>(
+        &self,
+        gauge: MutexGuard<'a, (usize, usize)>,
+    ) -> MutexGuard<'a, (usize, usize)> {
+        self.gauge_cv
+            .wait(gauge)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until no handler is in flight.
+    fn drain(&self) {
+        let mut gauge = self.gauge();
+        while gauge.0 > 0 {
+            gauge = self.wait_gauge(gauge);
+        }
+    }
+
+    /// Hand a worker slot back and count the request as done.
+    fn release(&self) {
+        let mut gauge = self.gauge();
+        gauge.1 += 1;
+        gauge.0 -= 1;
+        drop(gauge);
+        self.gauge_cv.notify_all();
+    }
+
+    /// The resolver, or a 500 reply when a panic under its lock may have
+    /// left it half-updated.
+    fn resolver(&self) -> Result<MutexGuard<'_, ResolverState>, Reply> {
+        self.resolver.lock().map_err(|_| {
+            Reply::Internal("resolver state is unavailable after an internal panic".to_string())
+        })
+    }
 }
 
 /// Handle to a running server: its bound address plus the levers for a
@@ -72,19 +116,21 @@ impl ServerHandle {
     /// requests, join the accept thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let mut gauge = self.shared.gauge.lock().expect("gauge lock");
-        while gauge.0 > 0 {
-            gauge = self.shared.gauge_cv.wait(gauge).expect("gauge wait");
-        }
+        self.join();
     }
 
     /// Run a closure against the resident resolver (e.g. to warm it or to
     /// verify equivalence from a test).
+    ///
+    /// # Panics
+    ///
+    /// If an earlier panic under the resolver lock may have left the
+    /// resolver half-updated (the HTTP routes answer 500 then).
     pub fn with_resolver<T>(&self, f: impl FnOnce(&mut ResolverState) -> T) -> T {
-        f(&mut self.shared.resolver.lock().expect("resolver lock"))
+        match self.shared.resolver() {
+            Ok(mut resolver) => f(&mut resolver),
+            Err(_) => panic!("resolver state is unavailable after an internal panic"),
+        }
     }
 
     /// Block until the accept loop exits (i.e. until `/shutdown` or
@@ -93,10 +139,7 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let mut gauge = self.shared.gauge.lock().expect("gauge lock");
-        while gauge.0 > 0 {
-            gauge = self.shared.gauge_cv.wait(gauge).expect("gauge wait");
-        }
+        self.shared.drain();
     }
 }
 
@@ -149,9 +192,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         // request as in-flight BEFORE the handler thread detaches, so a
         // shutdown triggered right after accept still waits for it.
         {
-            let mut gauge = shared.gauge.lock().expect("gauge lock");
+            let mut gauge = shared.gauge();
             while gauge.1 == 0 {
-                gauge = shared.gauge_cv.wait(gauge).expect("gauge wait");
+                gauge = shared.wait_gauge(gauge);
             }
             gauge.1 -= 1;
             gauge.0 += 1;
@@ -161,18 +204,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             .name("sparker-serve-conn".into())
             .spawn(move || {
                 let _ = handle_connection(stream, &handler_shared);
-                let mut gauge = handler_shared.gauge.lock().expect("gauge lock");
-                gauge.1 += 1;
-                gauge.0 -= 1;
-                drop(gauge);
-                handler_shared.gauge_cv.notify_all();
+                handler_shared.release();
             });
         if spawned.is_err() {
-            let mut gauge = shared.gauge.lock().expect("gauge lock");
-            gauge.1 += 1;
-            gauge.0 -= 1;
-            drop(gauge);
-            shared.gauge_cv.notify_all();
+            shared.release();
         }
     }
 }
@@ -191,6 +226,11 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 /// Most header lines a request may carry; one more is answered with 431.
 const MAX_HEADER_LINES: usize = 100;
 
+/// Longest a connection may leave a read or write of the server waiting. A
+/// client that stalls longer is answered 408 (when it can still read) and
+/// dropped, so it cannot hold one of the bounded worker slots forever.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 struct Request {
     method: String,
     path: String,
@@ -201,6 +241,7 @@ enum Reply {
     Ok(JsonValue),
     BadRequest(String),
     NotFound(String),
+    Internal(String),
 }
 
 /// A request the server refuses to read further: the status and message
@@ -212,14 +253,22 @@ struct Refusal {
 
 impl From<io::Error> for Refusal {
     fn from(e: io::Error) -> Self {
-        Refusal {
-            status: 400,
-            message: format!("malformed request: {e}"),
+        match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Refusal {
+                status: 408,
+                message: format!("request not received within {} s", IO_TIMEOUT.as_secs()),
+            },
+            _ => Refusal {
+                status: 400,
+                message: format!("malformed request: {e}"),
+            },
         }
     }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
         Ok(r) => r,
@@ -232,6 +281,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         Reply::Ok(v) => write_reply(&stream, 200, &v.to_string()),
         Reply::BadRequest(msg) => write_reply(&stream, 400, &error_json(&msg)),
         Reply::NotFound(msg) => write_reply(&stream, 404, &error_json(&msg)),
+        Reply::Internal(msg) => write_reply(&stream, 500, &error_json(&msg)),
     }
 }
 
@@ -328,10 +378,12 @@ fn route(request: &Request, shared: &Shared) -> Reply {
     }
 }
 
-/// Parse one profile object into a [`Profile`], mirroring the batch JSON
-/// loader's stringification rules.
-fn profile_from_json(value: &JsonValue) -> Result<Profile, String> {
-    let JsonValue::Object(map) = value else {
+/// Parse one profile object into a [`Profile`]; attribute members convert
+/// by the batch JSON-lines loader's rule ([`ProfileBuilder::json_attr`]).
+///
+/// [`ProfileBuilder::json_attr`]: sparker_profiles::ProfileBuilder::json_attr
+fn profile_from_json(value: JsonValue) -> Result<Profile, String> {
+    let JsonValue::Object(mut map) = value else {
         return Err("profile must be a JSON object".to_string());
     };
     let source = match map.get("source") {
@@ -345,28 +397,19 @@ fn profile_from_json(value: &JsonValue) -> Result<Profile, String> {
             ))
         }
     };
-    let id = match map.get("id") {
-        Some(JsonValue::String(s)) if !s.is_empty() => s.clone(),
+    let id = match map.remove("id") {
+        Some(JsonValue::String(s)) if !s.is_empty() => s,
         Some(other) => return Err(format!("id must be a non-empty string, got {other}")),
         None => return Err("missing required field: id".to_string()),
     };
-    let attributes = match map.get("attributes") {
+    let attributes = match map.remove("attributes") {
         Some(JsonValue::Object(attrs)) => attrs,
         Some(other) => return Err(format!("attributes must be an object, got {other}")),
         None => return Err("missing required field: attributes".to_string()),
     };
-    let mut builder = Profile::builder(SourceId(source), &id);
+    let mut builder = Profile::builder(SourceId(source), id);
     for (name, v) in attributes {
-        // Same convention as the batch JSON-lines loader: an array value
-        // becomes one attribute instance per element.
-        match v {
-            JsonValue::Array(items) => {
-                for item in items {
-                    builder = builder.attr(name.clone(), item.to_text());
-                }
-            }
-            other => builder = builder.attr(name.clone(), other.to_text()),
-        }
+        builder = builder.json_attr(&name, v);
     }
     Ok(builder.build())
 }
@@ -376,8 +419,8 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
         Ok(v) => v,
         Err(e) => return Reply::BadRequest(format!("invalid JSON body: {e}")),
     };
-    let items: Vec<&JsonValue> = match &value {
-        JsonValue::Array(items) => items.iter().collect(),
+    let items = match value {
+        JsonValue::Array(items) => items,
         obj @ JsonValue::Object(_) => vec![obj],
         other => {
             return Reply::BadRequest(format!(
@@ -392,7 +435,10 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
             Err(e) => return Reply::BadRequest(e),
         }
     }
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(r) => r,
+        Err(reply) => return reply,
+    };
     let mut inserted = 0u64;
     let mut updated = 0u64;
     for p in profiles {
@@ -409,7 +455,10 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
 }
 
 fn get_cluster(source: u32, id: &str, shared: &Shared) -> Reply {
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(r) => r,
+        Err(reply) => return reply,
+    };
     match resolver.query(source, id) {
         None => Reply::NotFound(format!("unknown profile: source={source} id={id:?}")),
         Some(view) => {
@@ -435,7 +484,10 @@ fn get_cluster(source: u32, id: &str, shared: &Shared) -> Reply {
 }
 
 fn get_stats(shared: &Shared) -> Reply {
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(r) => r,
+        Err(reply) => return reply,
+    };
     let s = resolver.stats();
     let num = |n: u64| JsonValue::Number(n as f64);
     let mut out = BTreeMap::new();
@@ -466,8 +518,10 @@ fn write_reply(mut stream: &TcpStream, status: u16, body: &str) -> io::Result<()
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         _ => "Error",
     };
     let response = format!(

@@ -355,3 +355,66 @@ fn http_shutdown_endpoint_stops_the_server() {
         assert!(out.is_empty(), "no handler should answer after shutdown");
     }
 }
+
+#[test]
+fn deeply_nested_body_gets_400_instead_of_a_stack_overflow() {
+    let handle = boot(2);
+    let addr = handle.addr();
+    // 100 000 nesting levels in a ~100 KB body, far under the body cap.
+    let (status, reply) = request(addr, "POST", "/profiles", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("nesting too deep"), "{reply}");
+    let (status, stats) = get_json(addr, "/stats");
+    assert_eq!(status, 200);
+    assert_eq!(field_u64(&stats, "profiles"), 0);
+}
+
+#[test]
+fn silent_connection_is_closed_and_the_next_request_is_served() {
+    // One worker slot: the silent client holds it until the server's I/O
+    // timeout closes its connection.
+    let handle = boot(1);
+    let addr = handle.addr();
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    let next = std::thread::spawn(move || get_json(addr, "/stats"));
+    let mut response = String::new();
+    silent
+        .read_to_string(&mut response)
+        .expect("the server closes the silent connection");
+    assert!(
+        response.starts_with("HTTP/1.1 408 "),
+        "expected 408, got {response:?}"
+    );
+    let (status, stats) = next.join().expect("client thread");
+    assert_eq!(status, 200);
+    assert_eq!(field_u64(&stats, "profiles"), 0);
+}
+
+#[test]
+fn poisoned_resolver_answers_500_and_the_server_keeps_answering() {
+    let handle = boot(2);
+    let addr = handle.addr();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle.with_resolver(|_| panic!("panic while holding the resolver lock"))
+    }));
+    assert!(panicked.is_err());
+    for (method, path, body) in [
+        ("GET", "/stats", ""),
+        ("GET", "/clusters/a", ""),
+        ("POST", "/profiles", r#"{"id":"a","attributes":{"n":"x"}}"#),
+    ] {
+        let (status, reply) = request(addr, method, path, body);
+        assert_eq!(status, 500, "{method} {path}: {reply}");
+        let json = parse_json(&reply).expect("error body is well-formed JSON");
+        let JsonValue::Object(map) = json else {
+            panic!("error body must be an object")
+        };
+        assert!(map.contains_key("error"), "error body names the problem");
+    }
+    // Routes that do not touch the resolver still work.
+    let (status, _) = get_json(addr, "/nope");
+    assert_eq!(status, 404);
+}

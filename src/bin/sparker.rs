@@ -29,6 +29,7 @@ use sparker::{
     WeightFilter,
 };
 use std::process::ExitCode;
+use std::time::Instant;
 
 #[derive(Default)]
 struct Args {
@@ -267,7 +268,9 @@ fn run() -> Result<(), String> {
     };
     let backend = ExecutionBackend::parse(backend_name, workers)?;
 
-    // Data.
+    // Data. Its wall time is reported: loading a large file can cost more
+    // than resolving it.
+    let load_started = Instant::now();
     let (collection, ground_truth) = if let Some(name) = &args.preset {
         let preset = Preset::by_name(name).ok_or_else(|| {
             format!(
@@ -307,10 +310,11 @@ fn run() -> Result<(), String> {
         (collection, gt)
     };
     println!(
-        "loaded {} profiles ({:?}), {} comparable pairs",
+        "loaded {} profiles ({:?}), {} comparable pairs, load {:.3} s",
         collection.len(),
         collection.kind(),
-        collection.comparable_pairs()
+        collection.comparable_pairs(),
+        load_started.elapsed().as_secs_f64()
     );
 
     // Configuration. Preset runs default to the scaling-tier configuration

@@ -91,6 +91,53 @@ fn dirty_jsonl_run() {
     let stdout = String::from_utf8_lossy(&result.stdout);
     assert!(stdout.contains("loaded 3 profiles (Dirty)"), "{stdout}");
     assert!(stdout.contains("1 with >1 profile"), "{stdout}");
+    // The load phase reports its wall time.
+    let loaded = stdout
+        .lines()
+        .find(|l| l.starts_with("loaded "))
+        .expect("loaded line");
+    let seconds = loaded
+        .rsplit_once(", load ")
+        .and_then(|(_, t)| t.strip_suffix(" s"))
+        .and_then(|t| t.parse::<f64>().ok());
+    assert!(seconds.is_some_and(|s| s >= 0.0), "{loaded}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_jsonl_line_fails_naming_file_and_line() {
+    let dir = tempdir("malformed");
+    let src = write(
+        &dir,
+        "records.jsonl",
+        "{\"id\":\"r1\",\"title\":\"ok\"}\n\n{\"id\":\"r2\",\"title\" \"no colon\"}\n",
+    );
+    let result = sparker().args(["--source-a", &src]).output().unwrap();
+    assert_eq!(result.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "{src}: json error at line 3 (byte 45): expected ':'"
+        )),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_jsonl_line_fails_cleanly() {
+    let dir = tempdir("nested");
+    let line = format!("{{\"id\":\"r1\",\"title\":{}}}\n", "[".repeat(100_000));
+    let src = write(&dir, "records.jsonl", &line);
+    let result = sparker().args(["--source-a", &src]).output().unwrap();
+    // Exit 1 with a message, not a signal from a stack overflow.
+    assert_eq!(result.status.code(), Some(1), "{result:?}");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(
+        stderr.contains(&format!("{src}: json error at line 1"))
+            && stderr.contains("nesting too deep"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
